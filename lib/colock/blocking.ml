@@ -32,7 +32,11 @@ let cleanup_victim wrapper ~txn =
    poison exactly once, wake everyone, and return — the caller parks on the
    condition variable, and the next wakeup re-runs detection if the cycle is
    still there (the deterministic victim choice keeps re-selecting the same,
-   already-poisoned transaction, so no second victim is sacrificed). *)
+   already-poisoned transaction, so no second victim is sacrificed).
+
+   Detection stays global here, unlike the simulator's rooted check: a
+   poisoned victim's cycle stays in the table until the victim wakes up,
+   so a later requester may wait while a cycle it is not on is alive. *)
 let resolve_deadlock wrapper ~txn =
   let table = Protocol.table wrapper.protocol in
   match Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table) with

@@ -8,6 +8,7 @@ type t = {
   mutable escalations : int;
   mutable deescalations : int;
   mutable deadlocks : int;
+  mutable deadlock_visits : int;
   mutable victim_aborts : int;
   mutable timeout_aborts : int;
 }
@@ -15,7 +16,7 @@ type t = {
 let create () =
   { requests = 0; immediate_grants = 0; waits = 0; conversions = 0;
     conflict_tests = 0; releases = 0; escalations = 0; deescalations = 0;
-    deadlocks = 0; victim_aborts = 0; timeout_aborts = 0 }
+    deadlocks = 0; deadlock_visits = 0; victim_aborts = 0; timeout_aborts = 0 }
 
 let reset stats =
   stats.requests <- 0;
@@ -27,6 +28,7 @@ let reset stats =
   stats.escalations <- 0;
   stats.deescalations <- 0;
   stats.deadlocks <- 0;
+  stats.deadlock_visits <- 0;
   stats.victim_aborts <- 0;
   stats.timeout_aborts <- 0
 
@@ -35,7 +37,8 @@ let copy stats =
     waits = stats.waits; conversions = stats.conversions;
     conflict_tests = stats.conflict_tests; releases = stats.releases;
     escalations = stats.escalations; deescalations = stats.deescalations;
-    deadlocks = stats.deadlocks; victim_aborts = stats.victim_aborts;
+    deadlocks = stats.deadlocks; deadlock_visits = stats.deadlock_visits;
+    victim_aborts = stats.victim_aborts;
     timeout_aborts = stats.timeout_aborts }
 
 let add a b =
@@ -47,6 +50,7 @@ let add a b =
     escalations = a.escalations + b.escalations;
     deescalations = a.deescalations + b.deescalations;
     deadlocks = a.deadlocks + b.deadlocks;
+    deadlock_visits = a.deadlock_visits + b.deadlock_visits;
     victim_aborts = a.victim_aborts + b.victim_aborts;
     timeout_aborts = a.timeout_aborts + b.timeout_aborts }
 
@@ -60,14 +64,16 @@ let row stats =
     ("escalations", float_of_int stats.escalations);
     ("deescalations", float_of_int stats.deescalations);
     ("deadlocks", float_of_int stats.deadlocks);
+    ("deadlock_visits", float_of_int stats.deadlock_visits);
     ("victim_aborts", float_of_int stats.victim_aborts);
     ("timeout_aborts", float_of_int stats.timeout_aborts) ]
 
 let pp formatter stats =
   Format.fprintf formatter
     "requests %d, immediate %d, waits %d, conversions %d, conflict tests %d, \
-     releases %d, escalations %d, de-escalations %d, deadlocks %d, victim \
-     aborts %d, timeout aborts %d"
+     releases %d, escalations %d, de-escalations %d, deadlocks %d, deadlock \
+     visits %d, victim aborts %d, timeout aborts %d"
     stats.requests stats.immediate_grants stats.waits stats.conversions
     stats.conflict_tests stats.releases stats.escalations stats.deescalations
-    stats.deadlocks stats.victim_aborts stats.timeout_aborts
+    stats.deadlocks stats.deadlock_visits stats.victim_aborts
+    stats.timeout_aborts

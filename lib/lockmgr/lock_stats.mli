@@ -14,6 +14,9 @@ type t = {
   mutable escalations : int;  (** run-time lock escalations (set by clients) *)
   mutable deescalations : int;  (** lock de-escalations (set by clients) *)
   mutable deadlocks : int;  (** waits-for cycles detected (set by clients) *)
+  mutable deadlock_visits : int;
+      (** transactions expanded by requester-rooted deadlock searches
+          ([Lock_table.on_cycle]) *)
   mutable victim_aborts : int;
       (** transactions sacrificed to break a cycle (set by clients) *)
   mutable timeout_aborts : int;

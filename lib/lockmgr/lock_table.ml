@@ -225,12 +225,10 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
   end
   else begin
     let conversion = not (Lock_mode.equal current Lock_mode.NL) in
-    let fifo_blocked =
-      (not conversion) && entry.waiting <> [] && not (already_waiting entry txn)
-    in
+    let queued = already_waiting entry txn in
+    let fifo_blocked = (not conversion) && entry.waiting <> [] && not queued in
     if
-      (not fifo_blocked)
-      && (not (already_waiting entry txn))
+      (not fifo_blocked) && (not queued)
       && compatible_with_others table entry txn target
     then begin
       install_grant table entry txn target duration resource;
@@ -250,7 +248,7 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
           log "T%d waits for %s on %s" txn (Lock_mode.to_string target)
             resource);
       let holders = blocking_holders table entry txn target resource in
-      if not (already_waiting entry txn) then begin
+      if not queued then begin
         enqueue entry
           { w_txn = txn; w_mode = target; w_duration = duration;
             w_conversion = conversion; w_deadline = deadline;
@@ -472,6 +470,23 @@ let waiter_count table =
     (fun _resource entry count -> count + List.length entry.waiting)
     table.entries 0
 
+(* The waits-for edge rule, for one queued request: [waiter] waits for the
+   incompatible holders and for the incompatible requests [earlier] in the
+   queue. [block_on] is called once per such blocker. *)
+let iter_waiter_blockers entry ~earlier waiter block_on =
+  List.iter
+    (fun (holder, mode, _duration) ->
+      if holder <> waiter.w_txn && not (Lock_mode.compatible waiter.w_mode mode)
+      then block_on holder)
+    entry.granted;
+  List.iter
+    (fun ahead ->
+      if
+        ahead.w_txn <> waiter.w_txn
+        && not (Lock_mode.compatible waiter.w_mode ahead.w_mode)
+      then block_on ahead.w_txn)
+    earlier
+
 let waits_for_edges table =
   let edges = ref [] in
   Hashtbl.iter
@@ -479,32 +494,65 @@ let waits_for_edges table =
       let rec per_waiter earlier = function
         | [] -> ()
         | waiter :: later ->
-          List.iter
-            (fun (holder, mode, _duration) ->
-              if
-                holder <> waiter.w_txn
-                && not (Lock_mode.compatible waiter.w_mode mode)
-              then edges := (waiter.w_txn, holder) :: !edges)
-            entry.granted;
-          List.iter
-            (fun ahead ->
-              if
-                ahead.w_txn <> waiter.w_txn
-                && not (Lock_mode.compatible waiter.w_mode ahead.w_mode)
-              then edges := (waiter.w_txn, ahead.w_txn) :: !edges)
-            earlier;
+          iter_waiter_blockers entry ~earlier waiter (fun blocker ->
+              edges := (waiter.w_txn, blocker) :: !edges);
           per_waiter (waiter :: earlier) later
       in
       per_waiter [] entry.waiting)
     table.entries;
   List.sort_uniq compare !edges
 
+(* Only the queues [txn] sits in can hold its outgoing edges, and [by_txn]
+   lists them, so this never touches the rest of the table. *)
+let blockers_of table ~txn =
+  let blockers = ref [] in
+  let block_on blocker = blockers := blocker :: !blockers in
+  List.iter
+    (fun resource ->
+      match Hashtbl.find_opt table.entries resource with
+      | None -> ()
+      | Some entry ->
+        let rec scan earlier = function
+          | [] -> ()
+          | waiter :: later ->
+            if waiter.w_txn = txn then
+              iter_waiter_blockers entry ~earlier waiter block_on;
+            scan (waiter :: earlier) later
+        in
+        scan [] entry.waiting)
+    (resources_of table txn);
+  List.sort_uniq Int.compare !blockers
+
+(* Depth-first from [txn] over {!blockers_of}; every transaction expanded
+   is one [deadlock_visits]. The search stops at the first path back to
+   [txn], so the count replays exactly. *)
+let on_cycle table ~txn =
+  let visited = Hashtbl.create 16 in
+  let rec search = function
+    | [] -> false
+    | next :: stack ->
+      if next = txn then true
+      else if Hashtbl.mem visited next then search stack
+      else begin
+        Hashtbl.add visited next ();
+        expand next stack
+      end
+  and expand node stack =
+    table.stats.Lock_stats.deadlock_visits <-
+      table.stats.Lock_stats.deadlock_visits + 1;
+    search (blockers_of table ~txn:node @ stack)
+  in
+  expand txn []
+
 let wait_depth table ~txn =
-  let edges = waits_for_edges table in
+  let known = Hashtbl.create 16 in
   let successors blocked =
-    List.filter_map
-      (fun (waiter, blocker) -> if waiter = blocked then Some blocker else None)
-      edges
+    match Hashtbl.find_opt known blocked with
+    | Some blockers -> blockers
+    | None ->
+      let blockers = blockers_of table ~txn:blocked in
+      Hashtbl.add known blocked blockers;
+      blockers
   in
   (* longest blocker chain below [txn]; [visited] makes deadlock cycles
      contribute finite depth instead of diverging *)

@@ -117,6 +117,23 @@ val waits_for_edges : t -> (txn_id * txn_id) list
     waits for the incompatible holders and for incompatible earlier
     waiters. *)
 
+val blockers_of : t -> txn:txn_id -> txn_id list
+(** The successors of one transaction in the waits-for graph, sorted and
+    without duplicates: exactly the blockers [b] with [(txn, b)] in
+    {!waits_for_edges}. It reads only the queues [txn] holds or waits in,
+    so its cost does not grow with the rest of the table. *)
+
+val on_cycle : t -> txn:txn_id -> bool
+(** Whether [txn] reaches itself in the waits-for graph: a depth-first
+    search over {!blockers_of} rooted at [txn], which counts every
+    transaction it expands in {!Lock_stats.t.deadlock_visits}.
+
+    Precondition: the graph was acyclic before [txn]'s wait. Every cycle
+    then passes through [txn] (a queued request only adds edges that touch
+    the requester), so [on_cycle table ~txn] holds iff
+    [Deadlock.find_cycle ~edges:(waits_for_edges table)] finds a cycle.
+    Without the precondition a cycle elsewhere goes unseen. *)
+
 val wait_depth : t -> txn:txn_id -> int
 (** Length of the longest blocker chain hanging off [txn] in the waits-for
     graph (0 when [txn] waits for nobody). This is the quantity Thomasian's

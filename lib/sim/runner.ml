@@ -270,9 +270,17 @@ and crash sim time ~reason state =
   admission_exit sim time state;
   process_grants sim time (cancel_grants @ release_grants)
 
-(* Returns [true] when [requester] itself was sacrificed. *)
+(* Returns [true] when [requester] itself was sacrificed. Every wait is
+   checked as it starts, so the graph was acyclic before [requester]'s and
+   any cycle now runs through it; aborting a victim only removes edges
+   (woken jobs resume through scheduled events). So the rooted search
+   decides, and the global search only picks the cycle to report. *)
 and resolve_deadlocks sim time requester =
-  match Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges sim.table) with
+  match
+    if Table.on_cycle sim.table ~txn:requester then
+      Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges sim.table)
+    else None
+  with
   | None -> false
   | Some cycle ->
     let stats = Table.stats sim.table in

@@ -622,6 +622,150 @@ let test_deadlock_overlapping_cycles_terminate () =
   Alcotest.(check (list string)) "table still sound" []
     (Table.check_invariants table)
 
+(* on_cycle answers from the requester and counts each expanded
+   transaction once in deadlock_visits. *)
+let test_deadlock_rooted_search () =
+  let table = Table.create () in
+  let visits () = (Table.stats table).Lockmgr.Lock_stats.deadlock_visits in
+  check_bool "T1 X a" true
+    (Table.request table ~txn:1 ~resource:"a" Mode.X = Table.Granted);
+  check_bool "T2 X b" true
+    (Table.request table ~txn:2 ~resource:"b" Mode.X = Table.Granted);
+  check_bool "T3 S b waits" false
+    (Table.request table ~txn:3 ~resource:"b" Mode.S = Table.Granted);
+  check_bool "T2 X a waits" false
+    (Table.request table ~txn:2 ~resource:"a" Mode.X = Table.Granted);
+  let check_blockers label expected txn =
+    Alcotest.(check (list int)) label expected (Table.blockers_of table ~txn)
+  in
+  check_blockers "T2 blocked by T1" [ 1 ] 2;
+  check_blockers "T3 blocked by T2" [ 2 ] 3;
+  check_blockers "T1 runs" [] 1;
+  check_bool "no cycle through T2" false (Table.on_cycle table ~txn:2);
+  check_int "expanded T2 and T1" 2 (visits ());
+  (* T4 queues on a behind T2; T1 then wants b and closes T1 -> T2 -> T1
+     (and T1 -> T3 -> T2 -> T1, since T1 queues behind T3's S) *)
+  check_bool "T4 S a waits" false
+    (Table.request table ~txn:4 ~resource:"a" Mode.S = Table.Granted);
+  check_bool "T1 X b waits" false
+    (Table.request table ~txn:1 ~resource:"b" Mode.X = Table.Granted);
+  check_blockers "T1 blocked by holder T2 and earlier waiter T3" [ 2; 3 ] 1;
+  let before = visits () in
+  check_bool "cycle through T1" true (Table.on_cycle table ~txn:1);
+  check_int "expanded T1 and T2" 2 (visits () - before);
+  check_bool "T3 is on a cycle too" true (Table.on_cycle table ~txn:3);
+  check_bool "T4 hangs off the cycle" false (Table.on_cycle table ~txn:4);
+  check_bool "global search agrees" true
+    (Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table) <> None);
+  check_blockers "T4 blocked by T1 and T2" [ 1; 2 ] 4
+
+(* Differential check of the requester-rooted deadlock search against the
+   global one, on random request / release / cancel / release_all sequences
+   over 4 resources and 6 transactions (re-requests on a held resource are
+   conversions). After each step a victim of any cycle is released, so the
+   graph is acyclic before every request, as [on_cycle] requires. The same
+   states also pin [blockers_of] to [waits_for_edges] and [wait_depth] to
+   its former edge-list computation. *)
+type table_op =
+  | Op_request of int * string * Mode.t
+  | Op_release of int * string
+  | Op_cancel of int
+  | Op_release_all of int
+
+let table_txns = [ 1; 2; 3; 4; 5; 6 ]
+
+let print_table_op = function
+  | Op_request (txn, resource, mode) ->
+    Printf.sprintf "request T%d %s %s" txn resource (Mode.to_string mode)
+  | Op_release (txn, resource) -> Printf.sprintf "release T%d %s" txn resource
+  | Op_cancel txn -> Printf.sprintf "cancel_wait T%d" txn
+  | Op_release_all txn -> Printf.sprintf "release_all T%d" txn
+
+let table_op_gen =
+  let open QCheck.Gen in
+  let txn = oneofl table_txns and resource = oneofl [ "a"; "b"; "c"; "d" ] in
+  frequency
+    [ (6, map3 (fun txn resource mode -> Op_request (txn, resource, mode))
+            txn resource mode_gen);
+      (2, map2 (fun txn resource -> Op_release (txn, resource)) txn resource);
+      (1, map (fun txn -> Op_cancel txn) txn);
+      (1, map (fun txn -> Op_release_all txn) txn) ]
+
+let arbitrary_table_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 60) table_op_gen)
+
+let global_cycle table =
+  Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table)
+
+let rec break_cycles table =
+  match global_cycle table with
+  | None -> ()
+  | Some cycle ->
+    let victim = Lockmgr.Deadlock.choose_victim cycle in
+    let (_ : Table.grant list) = Table.release_all table ~txn:victim in
+    break_cycles table
+
+let blocker_edges table =
+  List.concat_map
+    (fun txn ->
+      List.map (fun blocker -> (txn, blocker)) (Table.blockers_of table ~txn))
+    table_txns
+  |> List.sort_uniq compare
+
+(* [wait_depth] as it was computed from the global edge list *)
+let reference_wait_depth table txn =
+  let edges = Table.waits_for_edges table in
+  let successors blocked =
+    List.filter_map
+      (fun (waiter, blocker) -> if waiter = blocked then Some blocker else None)
+      edges
+  in
+  let rec depth visited t =
+    if List.mem t visited then 0
+    else
+      List.fold_left
+        (fun best next -> max best (1 + depth (t :: visited) next))
+        0 (successors t)
+  in
+  depth [] txn
+
+let prop_rooted_search_matches_global =
+  QCheck.Test.make ~name:"rooted deadlock search agrees with global"
+    ~count:500 arbitrary_table_ops (fun ops ->
+      let table = Table.create () in
+      List.for_all
+        (fun op ->
+          let rooted_agrees =
+            match op with
+            | Op_request (txn, resource, mode) -> (
+              match Table.request table ~txn ~resource mode with
+              | Table.Granted -> true
+              | Table.Waiting _ ->
+                Table.on_cycle table ~txn = Option.is_some (global_cycle table))
+            | Op_release (txn, resource) ->
+              let (_ : Table.grant list) = Table.release table ~txn ~resource in
+              true
+            | Op_cancel txn ->
+              let (_ : Table.grant list) = Table.cancel_wait table ~txn in
+              true
+            | Op_release_all txn ->
+              let (_ : Table.grant list) = Table.release_all table ~txn in
+              true
+          in
+          let edges_agree = blocker_edges table = Table.waits_for_edges table in
+          let depths_agree =
+            List.for_all
+              (fun txn ->
+                Table.wait_depth table ~txn = reference_wait_depth table txn)
+              table_txns
+          in
+          break_cycles table;
+          rooted_agrees && edges_agree && depths_agree)
+        ops)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_compat_symmetric; prop_sup_commutative; prop_sup_associative;
@@ -673,7 +817,9 @@ let () =
          Alcotest.test_case "victim" `Quick test_deadlock_victim;
          Alcotest.test_case "via table" `Quick test_deadlock_via_table;
          Alcotest.test_case "overlapping cycles terminate" `Quick
-           test_deadlock_overlapping_cycles_terminate ]);
+           test_deadlock_overlapping_cycles_terminate;
+         Alcotest.test_case "rooted search" `Quick test_deadlock_rooted_search;
+         QCheck_alcotest.to_alcotest prop_rooted_search_matches_global ]);
       ("policy",
        [ Alcotest.test_case "choose_victim" `Quick test_policy_choose_victim;
          Alcotest.test_case "backoff" `Quick test_policy_backoff;
