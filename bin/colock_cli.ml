@@ -851,42 +851,26 @@ let load_trace path =
   events
 
 (* Streams a JSONL trace run by run in constant memory (soak traces run
-   to millions of lines): [start] opens a per-run accumulator when the
-   run's first event arrives, [push] feeds it, [flush label run] closes
-   it. The splitting mirrors [Obs.Profile.of_trace]: [Run_meta] events
-   delimit runs (and are not themselves pushed), events before the first
-   delimiter form an unlabelled run, and a delimiter with no events
-   still flushes an (empty) run. A trace with no delimiter at all is
+   to millions of lines), split by [Obs.Spans.splitter]: [start] opens a
+   per-run accumulator when the run's first event arrives, [push] feeds it,
+   [flush label run] closes it. A trace with no delimiter at all is
    labelled ["run-0"], with a warning on stderr. Malformed lines are
    diagnosed as FILE: line N; returns how many events decoded. *)
 let stream_runs path ~start ~push ~flush =
   let decoded = ref 0 in
-  let seen_meta = ref false in
-  let current = ref None in
-  let label = ref None in
-  let has_delim = ref false in
-  let close () =
-    let run =
-      match !current with
-      | Some run -> Some run
-      | None -> if !has_delim then Some (start ()) else None
-    in
-    (match run with
-     | None -> ()
-     | Some run ->
-       let label =
-         if !seen_meta then !label
-         else begin
-           Fmt.epr
-             "colock: %s: no Run_meta delimiter; labelling the whole trace \
-              run-0@."
-             path;
-           Some "run-0"
-         end
-       in
-       flush label run);
-    current := None;
-    has_delim := false
+  (* only the last run can be unlabelled and end the stream: then the
+     trace had no delimiter at all *)
+  let ending = ref false in
+  let splitter =
+    Obs.Spans.splitter ~start ~push ~flush:(fun label run ->
+        match label with
+        | None when !ending ->
+          Fmt.epr
+            "colock: %s: no Run_meta delimiter; labelling the whole trace \
+             run-0@."
+            path;
+          flush (Some "run-0") run
+        | Some _ | None -> flush label run)
   in
   Obs.Jsonl.with_file path (fun in_channel ->
     Obs.Jsonl.iter
@@ -894,23 +878,9 @@ let stream_runs path ~start ~push ~flush =
       in_channel
       (fun event ->
         incr decoded;
-        match event.Obs.Event.kind with
-        | Obs.Event.Run_meta { label = next } ->
-          seen_meta := true;
-          close ();
-          label := Some next;
-          has_delim := true
-        | _ ->
-          let run =
-            match !current with
-            | Some run -> run
-            | None ->
-              let run = start () in
-              current := Some run;
-              run
-          in
-          push run event));
-  close ();
+        Obs.Spans.split splitter event));
+  ending := true;
+  Obs.Spans.end_split splitter;
   !decoded
 
 (* A monitor (plus optional SLO watch) fed by a fresh sink — the replay
@@ -1082,12 +1052,6 @@ let top_cmd =
 (* ---------------------------------------------------------------- analyze *)
 
 let analyze_cmd =
-  let trace_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"TRACE"
-             ~doc:"A JSONL event trace, as written by $(b,colock simulate \
-                   --jsonl) or $(b,colock trace --jsonl).")
-  in
   let json_flag =
     Arg.(value & flag
          & info [ "json" ]
@@ -1134,17 +1098,11 @@ let analyze_cmd =
              time attributed to lockable-unit levels (BLU/HoLU/HeLU), graph \
              depths, hot resources, a waiter-by-holder conflict matrix, \
              abort causes and per-transaction wait critical paths.")
-    Term.(const run $ setup_logs $ trace_arg $ json_flag $ top_arg)
+    Term.(const run $ setup_logs $ trace_pos_arg $ json_flag $ top_arg)
 
 (* ---------------------------------------------------------------- certify *)
 
 let certify_cmd =
-  let trace_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"TRACE"
-             ~doc:"A JSONL event trace, as written by $(b,colock simulate \
-                   --jsonl) or $(b,colock trace --jsonl).")
-  in
   let json_flag =
     Arg.(value & flag
          & info [ "json" ]
@@ -1200,17 +1158,11 @@ let certify_cmd =
              rules 1-4' (ancestor intentions cover every inner-unit grant; \
              escalations match the supremum matrix). Exit 3 on any \
              violation, like an SLO breach.")
-    Term.(const run $ setup_logs $ trace_arg $ json_flag $ dot_flag)
+    Term.(const run $ setup_logs $ trace_pos_arg $ json_flag $ dot_flag)
 
 (* --------------------------------------------------------- explain/flame *)
 
 let explain_cmd =
-  let trace_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"TRACE"
-             ~doc:"A JSONL event trace, as written by $(b,colock simulate \
-                   --jsonl) or $(b,colock trace --jsonl).")
-  in
   let txn_arg =
     Arg.(value & opt (some int) None
          & info [ "txn" ] ~docv:"ID"
@@ -1270,15 +1222,9 @@ let explain_cmd =
        ~doc:"Causal blame for a JSONL event trace: every wait split across \
              the holders that caused it, summed per blocker. With \
              $(b,--txn), one transaction's full span tree.")
-    Term.(const run $ setup_logs $ trace_arg $ txn_arg $ json_flag $ top_arg)
+    Term.(const run $ setup_logs $ trace_pos_arg $ txn_arg $ json_flag $ top_arg)
 
 let flame_cmd =
-  let trace_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"TRACE"
-             ~doc:"A JSONL event trace, as written by $(b,colock simulate \
-                   --jsonl) or $(b,colock trace --jsonl).")
-  in
   let run () trace =
     let events = load_trace trace in
     let flames = Obs.Flame.of_trace events in
@@ -1301,7 +1247,7 @@ let flame_cmd =
              folded-stacks lines: one stack per instance-graph path (entry \
              point down to the inner lockable unit) with the requested \
              mode as leaf, weighted by blocked ticks.")
-    Term.(const run $ setup_logs $ trace_arg)
+    Term.(const run $ setup_logs $ trace_pos_arg)
 
 (* -------------------------------------------------------------------- why *)
 

@@ -1,59 +1,47 @@
 (* Causal blame: who caused each blocked tick.
 
    [Profile] answers *where* blocked time lands (level, depth, resource,
-   conflict cell); this module answers *who* it lands on.  Every wait span
-   — opened by [Lock_waited], closed by the matching grant, the waiter's
-   abort, or end of stream, exactly as [Profile] closes it — is cut into
-   segments at the moments its blocker set changes (a blocker releases the
-   resource, or a re-emitted [Lock_waited] reports a new granted group).
-   Each segment's length is split equally across the blockers live in it,
-   so concurrent holders share the blame and the shares of a span sum to
-   its duration.  Summed over any partition (per blocker, per victim, per
+   conflict cell); this module answers *who* it lands on.  [Spans] cuts
+   every wait into segments at the moments its blocker set changes; each
+   segment's length is split equally across the blockers live in it, so
+   concurrent holders share the blame and the shares of a wait sum to its
+   duration.  Summed over any partition (per blocker, per victim, per
    wait), blame therefore equals [Profile]'s [total_blocked] — the report
-   never invents or loses a tick.
+   never invents or loses a tick.  Waits caused by the FIFO queue rule
+   alone charge the [Queue] pseudo-blocker, mirroring the ["queue"] holder
+   of [Profile]'s conflict matrix. *)
 
-   Waits caused by the FIFO queue rule alone (no incompatible holder)
-   charge the [Queue] pseudo-blocker, mirroring the ["queue"] holder of
-   [Profile]'s conflict matrix.  Streams captured before [Lock_waited]
-   carried [holders] fall back to the integer [blockers] list with modes
-   reconstructed from the grants seen so far, so committed fixtures stay
-   analyzable. *)
-
-type agent = Txn of int | Queue
-
-let agent_order = function Txn txn -> txn | Queue -> max_int
+let agent_order = function Spans.Txn txn -> txn | Spans.Queue -> max_int
 
 let compare_agent a b = Int.compare (agent_order a) (agent_order b)
 
-let agent_label = function Txn txn -> Printf.sprintf "T%d" txn | Queue -> "queue"
+let agent_label = function
+  | Spans.Txn txn -> Printf.sprintf "T%d" txn
+  | Spans.Queue -> "queue"
 
-type outcome = Granted | Aborted of string | Unfinished
-
-type share = { sh_agent : agent; sh_mode : string option; sh_blame : float }
+type share = {
+  sh_agent : Spans.agent;
+  sh_mode : string option;
+  sh_blame : float;
+}
 
 type wait = {
-  w_txn : int;
-  w_resource : string;
-  w_mode : string;
-  w_lu : Event.lu option;
-  w_start : float;
-  w_finish : float;
-  w_outcome : outcome;
+  w_span : Spans.wait;
   w_shares : share list;  (* blame descending; sums to the span duration *)
 }
 
-let duration wait = Float.max 0.0 (wait.w_finish -. wait.w_start)
+let duration wait = Spans.duration wait.w_span
 
 type txn_blame = {
   x_txn : int;
   x_begin : float option;
   x_end : (string * float) option;  (* ("commit" | abort reason, time) *)
-  x_waits : wait list;  (* stream order *)
+  x_waits : wait list;  (* close order *)
   x_blocked : float;  (* this transaction's own blocked time *)
   x_caused : float;  (* blame charged to it by everyone else's waits *)
 }
 
-type blocker_stat = { k_agent : agent; k_blame : float; k_waits : int }
+type blocker_stat = { k_agent : Spans.agent; k_blame : float; k_waits : int }
 
 type report = {
   label : string option;
@@ -61,66 +49,22 @@ type report = {
   total_blocked : float;
   total_blamed : float;  (* conservation: equals [total_blocked] *)
   wait_count : int;
-  waits : wait list;  (* stream order *)
+  waits : wait list;  (* close order *)
   txns : txn_blame list;  (* txn ascending *)
   blockers : blocker_stat list;  (* blame descending, ties by agent *)
 }
 
 (* --------------------------------------------------------------- folding *)
 
-type live = { l_agent : agent; l_mode : string option }
+type t = { spans : Spans.t; mutable events : int }
 
-type open_wait = {
-  o_mode : string;
-  o_lu : Event.lu option;
-  o_start : float;
-  mutable o_seg_start : float;
-  mutable o_live : live list;  (* never empty: [Queue] when nobody holds *)
-  mutable o_charges : (agent * string option * float) list;
-}
+let create () = { spans = Spans.create (); events = 0 }
 
-type t = {
-  open_waits : (int * string, open_wait) Hashtbl.t;
-  held : (int * string, string) Hashtbl.t;  (* for pre-holder traces *)
-  begins : (int, float) Hashtbl.t;
-  ends : (int, string * float) Hashtbl.t;
-  mutable waits : wait list;  (* reversed; closed order *)
-  mutable events : int;
-  mutable last_time : float;
-}
+let handle blame event =
+  blame.events <- blame.events + 1;
+  Spans.handle blame.spans event
 
-let create () =
-  { open_waits = Hashtbl.create 64; held = Hashtbl.create 256;
-    begins = Hashtbl.create 64; ends = Hashtbl.create 64; waits = [];
-    events = 0; last_time = Float.neg_infinity }
-
-let live_of_event blockers holders =
-  match holders with
-  | _ :: _ ->
-    List.map
-      (fun { Event.h_txn; h_mode; _ } ->
-        { l_agent = Txn h_txn; l_mode = Some h_mode })
-      holders
-  | [] -> (
-    match blockers with
-    | [] -> [ { l_agent = Queue; l_mode = None } ]
-    | blockers ->
-      List.map (fun blocker -> { l_agent = Txn blocker; l_mode = None })
-        blockers)
-
-(* Reconstruct held modes for traces whose waits carry no [holders]. *)
-let annotate_modes blame resource live =
-  List.map
-    (fun member ->
-      match member.l_agent, member.l_mode with
-      | Txn txn, None -> (
-        match Hashtbl.find_opt blame.held (txn, resource) with
-        | Some mode -> { member with l_mode = Some mode }
-        | None -> member)
-      | (Txn _ | Queue), _ -> member)
-    live
-
-let add_charge wait agent mode amount =
+let add_charge charges agent mode amount =
   let rec bump = function
     | [] -> [ (agent, mode, amount) ]
     | (a, m, blame) :: rest when compare_agent a agent = 0 ->
@@ -129,155 +73,69 @@ let add_charge wait agent mode amount =
       (a, m, blame +. amount) :: rest
     | charge :: rest -> charge :: bump rest
   in
-  wait.o_charges <- bump wait.o_charges
+  bump charges
 
-(* Close the running segment at [now] and charge its length equally to the
-   live blockers. *)
-let flush_segment wait now =
-  let now = Float.max wait.o_seg_start now in
-  let length = now -. wait.o_seg_start in
-  if length > 0.0 then begin
-    let width = length /. float_of_int (List.length wait.o_live) in
-    List.iter
-      (fun { l_agent; l_mode } -> add_charge wait l_agent l_mode width)
-      wait.o_live
-  end;
-  wait.o_seg_start <- now
-
-let remove_blocker wait now agent =
-  if List.exists (fun m -> compare_agent m.l_agent agent = 0) wait.o_live
-  then begin
-    flush_segment wait now;
-    let remaining =
-      List.filter (fun m -> compare_agent m.l_agent agent <> 0) wait.o_live
-    in
-    wait.o_live <-
-      (match remaining with
-       | [] -> [ { l_agent = Queue; l_mode = None } ]
-       | remaining -> remaining)
-  end
-
-let close_wait blame key finish w_outcome =
-  match Hashtbl.find_opt blame.open_waits key with
-  | None -> ()
-  | Some wait ->
-    Hashtbl.remove blame.open_waits key;
-    let txn, resource = key in
-    let finish = Float.max wait.o_start finish in
-    flush_segment wait finish;
-    let span = finish -. wait.o_start in
-    (* equal splits are inexact in floating point; fold the residual into
-       the largest share so the shares sum to the span duration exactly *)
-    let total =
-      List.fold_left (fun sum (_, _, blame) -> sum +. blame) 0.0
-        wait.o_charges
-    in
-    let residual = span -. total in
-    let charges =
-      match wait.o_charges with
-      | [] -> if span > 0.0 then [ (Queue, None, span) ] else []
-      | charges ->
-        let largest =
-          List.fold_left
-            (fun best (agent, _, blame) ->
-              match best with
-              | Some (_, best_blame) when best_blame >= blame -> best
-              | Some _ | None -> Some (agent, blame))
-            None charges
-        in
-        (match largest with
-         | None -> charges
-         | Some (winner, _) ->
-           List.map
-             (fun ((agent, mode, blame) as charge) ->
-               if compare_agent agent winner = 0 then
-                 (agent, mode, blame +. residual)
-               else charge)
-             charges)
-    in
-    let w_shares =
+(* Each segment's length split equally across its blockers; equal splits
+   are inexact in floating point, so the residual is folded into the
+   largest share and the shares sum to the span duration exactly. *)
+let shares_of (span : Spans.wait) =
+  let charges =
+    List.fold_left
+      (fun charges { Spans.g_length; g_blockers } ->
+        let width = g_length /. float_of_int (List.length g_blockers) in
+        List.fold_left
+          (fun charges { Spans.b_agent; b_mode } ->
+            add_charge charges b_agent b_mode width)
+          charges g_blockers)
+      [] span.s_segments
+  in
+  let total =
+    List.fold_left (fun sum (_, _, blame) -> sum +. blame) 0.0 charges
+  in
+  let residual = Spans.duration span -. total in
+  let largest =
+    List.fold_left
+      (fun best (agent, _, blame) ->
+        match best with
+        | Some (_, best_blame) when best_blame >= blame -> best
+        | Some _ | None -> Some (agent, blame))
+      None charges
+  in
+  let charges =
+    match largest with
+    | None -> charges
+    | Some (winner, _) ->
       List.map
-        (fun (sh_agent, sh_mode, sh_blame) -> { sh_agent; sh_mode; sh_blame })
+        (fun ((agent, mode, blame) as charge) ->
+          if compare_agent agent winner = 0 then
+            (agent, mode, blame +. residual)
+          else charge)
         charges
-      |> List.sort (fun a b ->
-             match Float.compare b.sh_blame a.sh_blame with
-             | 0 -> compare_agent a.sh_agent b.sh_agent
-             | order -> order)
-    in
-    blame.waits <-
-      { w_txn = txn; w_resource = resource; w_mode = wait.o_mode;
-        w_lu = wait.o_lu; w_start = wait.o_start; w_finish = finish;
-        w_outcome; w_shares }
-      :: blame.waits
-
-let close_waits_of blame txn finish outcome =
-  Hashtbl.fold (fun key _wait keys -> key :: keys) blame.open_waits []
-  |> List.iter (fun (waiter, resource) ->
-         if waiter = txn then close_wait blame (waiter, resource) finish outcome)
-
-let end_txn blame txn cause time =
-  if not (Hashtbl.mem blame.ends txn) then
-    Hashtbl.replace blame.ends txn (cause, time)
-
-let handle blame event =
-  let { Event.time; kind } = event in
-  blame.events <- blame.events + 1;
-  if time > blame.last_time then blame.last_time <- time;
-  match kind with
-  | Event.Lock_waited { txn; resource; mode; blockers; lu; holders } -> (
-    let live = annotate_modes blame resource (live_of_event blockers holders) in
-    match Hashtbl.find_opt blame.open_waits (txn, resource) with
-    | Some wait ->
-      (* a re-wait keeps the span (as in [Profile]) but reports the granted
-         group as it stands now: cut a segment and swap the live set *)
-      flush_segment wait time;
-      wait.o_live <- live
-    | None ->
-      Hashtbl.replace blame.open_waits (txn, resource)
-        { o_mode = mode; o_lu = lu; o_start = time; o_seg_start = time;
-          o_live = live; o_charges = [] })
-  | Event.Lock_granted { txn; resource; mode; _ } ->
-    close_wait blame (txn, resource) time Granted;
-    Hashtbl.replace blame.held (txn, resource) mode
-  | Event.Conversion { txn; resource; to_mode; _ } ->
-    Hashtbl.replace blame.held (txn, resource) to_mode
-  | Event.Lock_released { txn; resource; _ } ->
-    Hashtbl.remove blame.held (txn, resource);
-    (* the releaser stops blocking every wait still open on the resource *)
-    Hashtbl.iter
-      (fun (_waiter, waited_resource) wait ->
-        if String.equal waited_resource resource then
-          remove_blocker wait time (Txn txn))
-      blame.open_waits
-  | Event.Txn_begin { txn } ->
-    if not (Hashtbl.mem blame.begins txn) then
-      Hashtbl.replace blame.begins txn time
-  | Event.Txn_commit { txn } -> end_txn blame txn "commit" time
-  | Event.Victim_aborted { txn; _ } ->
-    close_waits_of blame txn time (Aborted "deadlock")
-  | Event.Timeout_abort { txn; _ } ->
-    close_waits_of blame txn time (Aborted "timeout")
-  | Event.Txn_abort { txn; reason } ->
-    end_txn blame txn reason time;
-    close_waits_of blame txn time (Aborted reason)
-  | Event.Contention_abort { txn; _ } ->
-    close_waits_of blame txn time (Aborted "contention")
-  | Event.Lock_requested _ | Event.Escalation _ | Event.Deescalation _
-  | Event.Deadlock_detected _ | Event.Query_executed _ | Event.Sim_step _
-  | Event.Waits_for _ | Event.Run_meta _ | Event.Slo_breach _
-  | Event.Admission _ | Event.Admission_limit _ | Event.Breaker _
-  | Event.Retry_denied _ ->
-    ()
+  in
+  List.map
+    (fun (sh_agent, sh_mode, sh_blame) -> { sh_agent; sh_mode; sh_blame })
+    charges
+  |> List.sort (fun a b ->
+         match Float.compare b.sh_blame a.sh_blame with
+         | 0 -> compare_agent a.sh_agent b.sh_agent
+         | order -> order)
 
 (* ----------------------------------------------------- report assembly *)
 
 module Int_map = Map.Make (Int)
 
 let finish ?label blame =
-  let last_time = if blame.events = 0 then 0.0 else blame.last_time in
-  Hashtbl.fold (fun key _wait keys -> key :: keys) blame.open_waits []
-  |> List.iter (fun key -> close_wait blame key last_time Unfinished);
-  let waits = List.rev blame.waits in
+  let waits, transactions =
+    List.fold_left
+      (fun (waits, transactions) -> function
+        | Spans.Wait span ->
+          ({ w_span = span; w_shares = shares_of span } :: waits, transactions)
+        | Spans.Transaction transaction ->
+          (waits, Int_map.add transaction.Spans.t_txn transaction transactions))
+      ([], Int_map.empty)
+      (Spans.finish blame.spans)
+  in
+  let waits = List.rev waits in
   let total_blocked =
     List.fold_left (fun total wait -> total +. duration wait) 0.0 waits
   in
@@ -316,22 +174,16 @@ let finish ?label blame =
            | 0 -> compare_agent a.k_agent b.k_agent
            | order -> order)
   in
-  (* per-transaction trees *)
-  let txn_ids =
-    Int_map.empty
-    |> Hashtbl.fold (fun txn _ ids -> Int_map.add txn () ids) blame.begins
-    |> Hashtbl.fold (fun txn _ ids -> Int_map.add txn () ids) blame.ends
-    |> fun ids ->
+  (* per-transaction trees: every transaction that began, ended, waited or
+     blocked someone *)
+  let own_waits =
     List.fold_left
-      (fun ids wait ->
-        let ids = Int_map.add wait.w_txn () ids in
-        List.fold_left
-          (fun ids share ->
-            match share.sh_agent with
-            | Txn txn -> Int_map.add txn () ids
-            | Queue -> ids)
-          ids wait.w_shares)
-      ids waits
+      (fun map wait ->
+        let txn = wait.w_span.s_txn in
+        Int_map.add txn
+          (wait :: Option.value ~default:[] (Int_map.find_opt txn map))
+          map)
+      Int_map.empty waits
   in
   let caused_by =
     List.fold_left
@@ -339,8 +191,8 @@ let finish ?label blame =
         List.fold_left
           (fun map share ->
             match share.sh_agent with
-            | Queue -> map
-            | Txn txn ->
+            | Spans.Queue -> map
+            | Spans.Txn txn ->
               let current =
                 Option.value ~default:0.0 (Int_map.find_opt txn map)
               in
@@ -348,19 +200,33 @@ let finish ?label blame =
           map wait.w_shares)
       Int_map.empty waits
   in
+  let ids map = Int_map.fold (fun txn _ ids -> txn :: ids) map [] in
+  let txn_ids =
+    List.sort_uniq Int.compare
+      (ids transactions @ ids own_waits @ ids caused_by)
+  in
   let txns =
-    Int_map.bindings txn_ids
-    |> List.map (fun (txn, ()) ->
-           let x_waits = List.filter (fun wait -> wait.w_txn = txn) waits in
-           let x_blocked =
-             List.fold_left
-               (fun total wait -> total +. duration wait)
-               0.0 x_waits
-           in
-           { x_txn = txn; x_begin = Hashtbl.find_opt blame.begins txn;
-             x_end = Hashtbl.find_opt blame.ends txn; x_waits; x_blocked;
-             x_caused =
-               Option.value ~default:0.0 (Int_map.find_opt txn caused_by) })
+    List.map
+      (fun txn ->
+        let x_waits =
+          List.rev (Option.value ~default:[] (Int_map.find_opt txn own_waits))
+        in
+        let transaction = Int_map.find_opt txn transactions in
+        { x_txn = txn;
+          x_begin = Option.bind transaction (fun t -> t.Spans.t_begin);
+          x_end =
+            Option.bind transaction (fun t ->
+                Option.map
+                  (fun cause -> (cause, t.Spans.t_finish))
+                  t.t_outcome);
+          x_waits;
+          x_blocked =
+            List.fold_left
+              (fun total wait -> total +. duration wait)
+              0.0 x_waits;
+          x_caused =
+            Option.value ~default:0.0 (Int_map.find_opt txn caused_by) })
+      txn_ids
   in
   { label; events = blame.events; total_blocked; total_blamed;
     wait_count = List.length waits; waits; txns; blockers }
@@ -370,31 +236,15 @@ let of_events ?label events =
   List.iter (handle blame) events;
   finish ?label blame
 
-(* [Run_meta]-delimited multi-run traces split exactly as [Profile.of_trace]
-   splits them. *)
 let of_trace events =
-  let flush reports label batch =
-    match batch, label with
-    | [], None -> reports
-    | batch, label -> of_events ?label (List.rev batch) :: reports
-  in
-  let reports, label, batch =
-    List.fold_left
-      (fun (reports, label, batch) event ->
-        match event.Event.kind with
-        | Event.Run_meta { label = next } ->
-          (flush reports label batch, Some next, [])
-        | _ -> (reports, label, event :: batch))
-      ([], None, []) events
-  in
-  List.rev (flush reports label batch)
+  List.map (fun (label, events) -> of_events ?label events) (Spans.runs events)
 
 (* ------------------------------------------------------------ rendering *)
 
 let outcome_label = function
-  | Granted -> "granted"
-  | Aborted cause -> "aborted:" ^ cause
-  | Unfinished -> "unfinished"
+  | Spans.Granted -> "granted"
+  | Spans.Aborted cause -> "aborted:" ^ cause
+  | Spans.Unfinished -> "unfinished"
 
 let json_of_share share =
   Json.Obj
@@ -405,15 +255,15 @@ let json_of_share share =
         | None -> Json.Null );
       ("blame", Json.Float share.sh_blame) ]
 
-let json_of_wait wait =
+let json_of_wait { w_span = span; w_shares } =
   Json.Obj
-    [ ("txn", Json.Int wait.w_txn);
-      ("resource", Json.String wait.w_resource);
-      ("mode", Json.String wait.w_mode);
-      ("start", Json.Float wait.w_start);
-      ("finish", Json.Float wait.w_finish);
-      ("outcome", Json.String (outcome_label wait.w_outcome));
-      ("shares", Json.List (List.map json_of_share wait.w_shares)) ]
+    [ ("txn", Json.Int span.s_txn);
+      ("resource", Json.String span.s_resource);
+      ("mode", Json.String span.s_mode);
+      ("start", Json.Float span.s_start);
+      ("finish", Json.Float span.s_finish);
+      ("outcome", Json.String (outcome_label span.s_outcome));
+      ("shares", Json.List (List.map json_of_share w_shares)) ]
 
 let to_json report =
   Json.Obj
@@ -504,9 +354,10 @@ let explain formatter report ~txn =
       entry.x_caused;
     List.iter
       (fun wait ->
-        line "|- wait %s (%s) [%g..%g] %s: %g@," wait.w_resource wait.w_mode
-          wait.w_start wait.w_finish
-          (outcome_label wait.w_outcome)
+        let span = wait.w_span in
+        line "|- wait %s (%s) [%g..%g] %s: %g@," span.s_resource span.s_mode
+          span.s_start span.s_finish
+          (outcome_label span.s_outcome)
           (duration wait);
         List.iter
           (fun share -> line "|    blocked by %a@," pp_share share)

@@ -1,35 +1,23 @@
 (** Causal blame attribution: who caused each blocked tick.
 
     Complements {!Profile} (which says *where* blocked time lands on the
-    lock graph) with *who* it lands on: every wait span is segmented at
-    blocker-set changes (a holder releasing the resource, a re-emitted
-    [Lock_waited] reporting a fresh granted group) and each segment is
-    split equally across its live blockers. Shares of one wait sum to the
-    wait's duration, so blame over any partition equals {!Profile}'s
+    lock graph) with *who* it lands on: each segment of a {!Spans} wait is
+    split equally across its blockers. Shares of one wait sum to the wait's
+    duration, so blame over any partition equals {!Profile}'s
     [total_blocked] — conservation is exact up to float rounding of the
     equal splits, which is folded back into the largest share per wait.
 
     Works online ({!handle} as a sink handler, then {!finish}) and offline
-    ({!of_trace} on a decoded JSONL trace). Traces whose [Lock_waited]
-    events carry no [holders] (captured before blame existed) fall back to
-    the integer [blockers] list, with modes reconstructed from grants. *)
+    ({!of_trace} on a decoded JSONL trace). *)
 
-type agent =
-  | Txn of int  (** a blocking transaction *)
-  | Queue
-      (** the FIFO-fairness rule itself: nobody incompatible holds the
-          resource, the request just queues behind earlier waiters *)
-
-val compare_agent : agent -> agent -> int
+val compare_agent : Spans.agent -> Spans.agent -> int
 (** Transactions ascending by id, [Queue] last. *)
 
-val agent_label : agent -> string
+val agent_label : Spans.agent -> string
 (** ["T7"] or ["queue"]. *)
 
-type outcome = Granted | Aborted of string | Unfinished
-
 type share = {
-  sh_agent : agent;
+  sh_agent : Spans.agent;
   sh_mode : string option;
       (** the mode the blocker held when first charged; [None] when the
           trace never revealed it *)
@@ -37,13 +25,7 @@ type share = {
 }
 
 type wait = {
-  w_txn : int;
-  w_resource : string;
-  w_mode : string;
-  w_lu : Event.lu option;
-  w_start : float;
-  w_finish : float;
-  w_outcome : outcome;
+  w_span : Spans.wait;
   w_shares : share list;
       (** blame descending (ties by agent); sums to the wait's duration *)
 }
@@ -55,12 +37,12 @@ type txn_blame = {
   x_begin : float option;
   x_end : (string * float) option;
       (** [("commit" | abort reason, time)]; [None] when still running *)
-  x_waits : wait list;  (** stream order *)
+  x_waits : wait list;  (** close order *)
   x_blocked : float;  (** own blocked time: sum of [x_waits] durations *)
   x_caused : float;  (** blame charged to this transaction by others *)
 }
 
-type blocker_stat = { k_agent : agent; k_blame : float; k_waits : int }
+type blocker_stat = { k_agent : Spans.agent; k_blame : float; k_waits : int }
 
 type report = {
   label : string option;
@@ -69,7 +51,7 @@ type report = {
   total_blamed : float;
       (** sum of every share; equals [total_blocked] (conservation) *)
   wait_count : int;
-  waits : wait list;  (** stream order *)
+  waits : wait list;  (** close order *)
   txns : txn_blame list;  (** txn ascending *)
   blockers : blocker_stat list;  (** blame descending, ties by agent *)
 }
@@ -88,7 +70,7 @@ val finish : ?label:string -> t -> report
 val of_events : ?label:string -> Event.t list -> report
 
 val of_trace : Event.t list -> report list
-(** Splits at [Run_meta] delimiters exactly as {!Profile.of_trace}. *)
+(** One report per {!Spans.runs} run. *)
 
 val to_json : report -> Json.t
 

@@ -1,9 +1,9 @@
 (* Event-driven metrics: the collector is itself a sink handler.  It counts
-   every event kind and pairs the span-shaped ones into latency histograms:
+   every event kind and feeds three latency histograms:
 
-     lock_wait      Lock_waited(t0)    -> Lock_granted(t1)   same txn+resource
+     lock_wait      Granted wait spans                    (Spans)
      grant_latency  Lock_requested(t0) -> Lock_granted(t1)   same txn+resource
-     txn_response   Txn_begin(t0)      -> Txn_commit(t1)     same txn
+     txn_response   committed transaction spans           (Spans)
 
    Histograms are pre-declared so exports carry stable keys even for runs
    with no waits. *)
@@ -14,70 +14,49 @@ let response_histogram = "txn_response"
 
 type t = {
   registry : Registry.t;
-  waits : (int * string, float) Hashtbl.t;
   requests : (int * string, float) Hashtbl.t;
-  begins : (int, float) Hashtbl.t;
+  spans : Spans.t;
 }
 
-let create ?registry () =
+let observe registry = function
+  | Spans.Wait ({ s_outcome = Spans.Granted; _ } as wait) ->
+    Registry.observe registry wait_histogram (Spans.duration wait)
+  | Spans.Transaction
+      { t_begin = Some start; t_finish; t_outcome = Some "commit"; _ } ->
+    Registry.observe registry response_histogram
+      (Float.max 0.0 (t_finish -. start))
+  | Spans.Wait _ | Spans.Transaction _ -> ()
+
+let create ?registry ?(on_close = ignore) () =
   let registry =
     match registry with Some registry -> registry | None -> Registry.create ()
   in
   let (_ : Histogram.t) = Registry.histogram registry wait_histogram in
   let (_ : Histogram.t) = Registry.histogram registry grant_histogram in
   let (_ : Histogram.t) = Registry.histogram registry response_histogram in
-  { registry; waits = Hashtbl.create 64; requests = Hashtbl.create 64;
-    begins = Hashtbl.create 64 }
+  { registry; requests = Hashtbl.create 64;
+    spans =
+      Spans.create
+        ~on_close:(fun span ->
+          observe registry span;
+          on_close span)
+        () }
 
 let registry collector = collector.registry
-
-let close_span table key finish record =
-  match Hashtbl.find_opt table key with
-  | Some start ->
-    Hashtbl.remove table key;
-    record (Float.max 0.0 (finish -. start))
-  | None -> ()
+let spans collector = collector.spans
 
 let handle collector event =
   let { Event.time; kind } = event in
   Registry.incr collector.registry ("events." ^ Event.name kind);
-  match kind with
-  | Event.Lock_requested { txn; resource; _ } ->
-    Hashtbl.replace collector.requests (txn, resource) time
-  | Event.Lock_waited { txn; resource; _ } ->
-    if not (Hashtbl.mem collector.waits (txn, resource)) then
-      Hashtbl.replace collector.waits (txn, resource) time
-  | Event.Lock_granted { txn; resource; _ } ->
-    close_span collector.waits (txn, resource) time
-      (Registry.observe collector.registry wait_histogram);
-    close_span collector.requests (txn, resource) time
-      (Registry.observe collector.registry grant_histogram)
-  | Event.Txn_begin { txn } ->
-    if not (Hashtbl.mem collector.begins txn) then
-      Hashtbl.replace collector.begins txn time
-  | Event.Txn_commit { txn } ->
-    close_span collector.begins txn time
-      (Registry.observe collector.registry response_histogram)
-  | Event.Txn_abort { txn; _ } ->
-    (* final abort: the transaction will not commit; drop its begin mark
-       (victim restarts keep the original mark — they re-begin with the
-       same id and [Txn_begin] keeps the first timestamp) *)
-    Hashtbl.remove collector.begins txn
-  | Event.Victim_aborted { txn; _ } | Event.Timeout_abort { txn; _ } ->
-    (* its queued waits died with it *)
-    Hashtbl.iter
-      (fun (waiter, resource) _start ->
-        if waiter = txn then Hashtbl.remove collector.waits (waiter, resource))
-      (Hashtbl.copy collector.waits)
-  | Event.Contention_abort { txn; _ } ->
-    (* a restart-policy victim: same treatment as deadlock/timeout victims *)
-    Hashtbl.iter
-      (fun (waiter, resource) _start ->
-        if waiter = txn then Hashtbl.remove collector.waits (waiter, resource))
-      (Hashtbl.copy collector.waits)
-  | Event.Lock_released _ | Event.Conversion _ | Event.Escalation _
-  | Event.Deescalation _ | Event.Deadlock_detected _ | Event.Query_executed _
-  | Event.Sim_step _ | Event.Waits_for _ | Event.Run_meta _
-  | Event.Slo_breach _ | Event.Admission _ | Event.Admission_limit _
-  | Event.Breaker _ | Event.Retry_denied _ ->
-    ()
+  (match kind with
+   | Event.Lock_requested { txn; resource; _ } ->
+     Hashtbl.replace collector.requests (txn, resource) time
+   | Event.Lock_granted { txn; resource; _ } -> (
+     match Hashtbl.find_opt collector.requests (txn, resource) with
+     | Some start ->
+       Hashtbl.remove collector.requests (txn, resource);
+       Registry.observe collector.registry grant_histogram
+         (Float.max 0.0 (time -. start))
+     | None -> ())
+   | _ -> ());
+  Spans.handle collector.spans event

@@ -64,26 +64,26 @@ let equal_split duration keys =
     in
     (first, duration -. tail_total) :: List.map (fun key -> (key, width)) rest
 
-let level_key (span : Profile.span) =
-  match span.Profile.s_lu with
+let level_key (span : Spans.wait) =
+  match span.Spans.s_lu with
   | Some { Event.lu_kind; _ } -> lu_kind
   | None -> "untagged"
 
-let depth_key (span : Profile.span) =
-  match span.Profile.s_lu with
+let depth_key (span : Spans.wait) =
+  match span.Spans.s_lu with
   | Some { Event.lu_depth; _ } -> string_of_int lu_depth
   | None -> "untagged"
 
-let cell_keys (span : Profile.span) =
+let cell_keys (span : Spans.wait) =
   let holders =
-    match span.Profile.s_holder_modes with
+    match span.Spans.s_holder_modes with
     | [] -> [ "queue" ]
     | modes -> modes
   in
-  List.map (fun holder -> span.Profile.s_mode ^ "<-" ^ holder) holders
+  List.map (fun holder -> span.Spans.s_mode ^ "<-" ^ holder) holders
 
-let blocker_keys (span : Profile.span) =
-  match span.Profile.s_blockers with
+let blocker_keys (span : Spans.wait) =
+  match span.Spans.s_blockers with
   | [] -> [ "queue" ]
   | blockers -> List.map (fun txn -> "T" ^ string_of_int txn) blockers
 
@@ -104,9 +104,9 @@ let tally shares (profile : Profile.report) =
         (shares span))
     String_map.empty profile.Profile.spans
 
-let single key_of span = [ (key_of span, Profile.duration span) ]
+let single key_of span = [ (key_of span, Spans.duration span) ]
 
-let split_over keys_of span = equal_split (Profile.duration span) (keys_of span)
+let split_over keys_of span = equal_split (Spans.duration span) (keys_of span)
 
 (* -------------------------------------------------- partition assembly *)
 
@@ -201,7 +201,7 @@ let of_reports ?label ~(base : Profile.report) ~(cand : Profile.report) () =
     cand_waits = cand.Profile.wait_count;
     levels = part (single level_key);
     depths = part (single depth_key);
-    resources = part (single (fun span -> span.Profile.s_resource));
+    resources = part (single (fun span -> span.Spans.s_resource));
     cells = part (split_over cell_keys);
     blockers = part (split_over blocker_keys) }
 

@@ -119,28 +119,6 @@ let txn = function
   | Admission_limit _ | Breaker _ ->
     None
 
-let lu_of = function
-  | Lock_requested { lu; _ } | Lock_granted { lu; _ } | Lock_waited { lu; _ }
-  | Lock_released { lu; _ } | Conversion { lu; _ } | Timeout_abort { lu; _ } ->
-    lu
-  | Escalation _ | Deescalation _ | Deadlock_detected _ | Victim_aborted _
-  | Txn_begin _ | Txn_commit _ | Txn_abort _ | Query_executed _ | Sim_step _
-  | Waits_for _ | Run_meta _ | Slo_breach _ | Admission _ | Admission_limit _
-  | Breaker _ | Retry_denied _ | Contention_abort _ ->
-    None
-
-let resource_of = function
-  | Lock_requested { resource; _ } | Lock_granted { resource; _ }
-  | Lock_waited { resource; _ } | Lock_released { resource; _ }
-  | Conversion { resource; _ } | Timeout_abort { resource; _ } ->
-    Some resource
-  | Escalation { node; _ } | Deescalation { node; _ } -> Some node
-  | Deadlock_detected _ | Victim_aborted _ | Txn_begin _ | Txn_commit _
-  | Txn_abort _ | Query_executed _ | Sim_step _ | Waits_for _ | Run_meta _
-  | Slo_breach _ | Admission _ | Admission_limit _ | Breaker _
-  | Retry_denied _ | Contention_abort _ ->
-    None
-
 (* LU annotations serialize flat ([lu], [depth]) so jq filters stay one
    level deep; absent tags produce no fields at all, keeping untagged
    streams byte-identical to pre-profiler captures. *)

@@ -128,13 +128,6 @@ val name : kind -> string
 val txn : kind -> int option
 (** The transaction an event belongs to ([None] for whole-system events). *)
 
-val lu_of : kind -> lu option
-(** The lockable-unit annotation, for the six resource-bearing lock events;
-    [None] everywhere else. *)
-
-val resource_of : kind -> string option
-(** The resource (or escalation node) an event refers to, when any. *)
-
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result

@@ -58,7 +58,7 @@ let sanitize frame =
   String.map (function ';' -> ':' | ' ' -> '_' | c -> c) frame
 
 let frames_of_span span =
-  let { Profile.s_resource; s_mode; _ } = span in
+  let { Spans.s_resource; s_mode; _ } = span in
   List.map sanitize (path_steps s_resource) @ [ "mode:" ^ sanitize s_mode ]
 
 let of_spans ?label spans =
@@ -66,7 +66,7 @@ let of_spans ?label spans =
   let total =
     List.fold_left
       (fun total span ->
-        let weight = Profile.duration span in
+        let weight = Spans.duration span in
         if weight > 0.0 then begin
           let frames = frames_of_span span in
           let current =

@@ -1,7 +1,7 @@
 (** Wait-time flamegraphs: blocked time folded along the instance-graph
     path.
 
-    Every {!Profile} wait span becomes one stack — the resource's
+    Every {!Spans} wait becomes one stack — the resource's
     slash-separated node path (entry point down to the inner lockable
     unit, un-escaping the "//" produced by [Node_id.escape]) plus a final
     [mode:<M>] frame — weighted by the span's blocked duration; equal
@@ -24,7 +24,7 @@ val path_steps : string -> string list
 (** Splits a resource name back into node steps (inverse of the escaping
     join in [Node_id.to_resource]). *)
 
-val of_spans : ?label:string -> Profile.span list -> t
+val of_spans : ?label:string -> Spans.wait list -> t
 val of_report : Profile.report -> t
 
 val of_trace : Event.t list -> t list

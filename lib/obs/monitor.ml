@@ -5,10 +5,11 @@
    engine and the Prometheus endpoint read.
 
    It owns a Collector on the same registry, so cumulative counters
-   ([events.*]) and whole-run histograms ride along for free; the monitor
-   itself only adds what has to be live.  A [Run_meta] delimiter resets the
-   whole registry (run isolation when one process serves several technique
-   runs) and relabels the monitor. *)
+   ([events.*]) and whole-run histograms ride along for free, and it reads
+   its waits from the Collector's span fold, so each wait is paired once;
+   the monitor itself only adds what has to be live.  A [Run_meta]
+   delimiter resets the whole registry (run isolation when one process
+   serves several technique runs) and relabels the monitor. *)
 
 type resource_stat = {
   mutable r_blocked : float;
@@ -25,9 +26,6 @@ type t = {
   (* the windows list mirrors the registry's, kept here so per-event
      advancing does not re-sort a hashtable *)
   mutable live_windows : Window.t list;
-  waits : (int * string, float * Event.lu option * Event.holder list) Hashtbl.t;
-  held : (int * string, unit) Hashtbl.t;
-  active : (int, unit) Hashtbl.t;
   (* bounded hot-key state: the sketches admit at most [hot_k] keys, and
      [resources] / the hot_* gauges are evicted in lockstep, so memory and
      exposition cardinality stay O(hot_k) on million-object catalogs *)
@@ -38,6 +36,7 @@ type t = {
   mutable label : string option;
   mutable started : float;
   mutable now : float;
+  mutable floor : float;  (* [now] when the run began *)
   mutable seen : bool;  (* any event at all (so [started] is meaningful) *)
 }
 
@@ -72,33 +71,6 @@ let breaker_level = function
   | "open" -> 2.0
   | _ -> -1.0
 
-let create ?registry ?(span = 200.0) ?(hot_k = 32) () =
-  if hot_k <= 0 then invalid_arg "Monitor.create: hot_k must be positive";
-  let registry =
-    match registry with Some registry -> registry | None -> Registry.create ()
-  in
-  let collector = Collector.create ~registry () in
-  let monitor =
-    { registry; collector; span; hot_k; mutex = Mutex.create ();
-      live_windows = []; waits = Hashtbl.create 64; held = Hashtbl.create 256;
-      active = Hashtbl.create 64;
-      resource_sketch = Sketch.create ~k:hot_k;
-      blocker_sketch = Sketch.create ~k:hot_k;
-      resources = Hashtbl.create 256;
-      breaches = []; label = None; started = 0.0; now = 0.0; seen = false }
-  in
-  (* pre-declare the unlabelled instruments so exports carry stable keys *)
-  List.iter
-    (fun name ->
-      let window = Registry.window ~span monitor.registry name in
-      monitor.live_windows <- window :: monitor.live_windows)
-    [ window_wait; window_grants; window_commits; window_aborts;
-      window_deadlocks ];
-  List.iter
-    (fun name -> ignore (Registry.gauge monitor.registry name : Gauge.t))
-    [ gauge_active; gauge_entries; gauge_depth ];
-  monitor
-
 let registry monitor = monitor.registry
 let span monitor = monitor.span
 let label monitor = monitor.label
@@ -131,9 +103,10 @@ let set_gauge monitor name value =
   Registry.set_gauge monitor.registry name (float_of_int value)
 
 let sync_gauges monitor =
-  set_gauge monitor gauge_active (Hashtbl.length monitor.active);
-  set_gauge monitor gauge_entries (Hashtbl.length monitor.held);
-  set_gauge monitor gauge_depth (Hashtbl.length monitor.waits)
+  let spans = Collector.spans monitor.collector in
+  set_gauge monitor gauge_active (Spans.running spans);
+  set_gauge monitor gauge_entries (Spans.held spans);
+  set_gauge monitor gauge_depth (Spans.open_waits spans)
 
 let resource_stat monitor resource =
   match Hashtbl.find_opt monitor.resources resource with
@@ -188,38 +161,63 @@ let charge_blockers monitor ~holders ~blocked =
       | None -> ())
     labels
 
-let charge_wait monitor ~resource ~lu ~holders ~start =
-  let blocked = Float.max 0.0 (monitor.now -. start) in
-  let stat = resource_stat monitor resource in
-  stat.r_waits <- stat.r_waits + 1;
-  (match lu with Some _ -> stat.r_lu <- lu | None -> ());
-  charge_resource monitor resource ~blocked;
-  charge_blockers monitor ~holders ~blocked;
-  observe_window monitor window_wait blocked;
-  (match lu with
-   | None -> ()
-   | Some { Event.lu_kind; _ } ->
-     observe_window monitor (labelled window_wait lu_kind) blocked)
+(* Every closed wait is charged, aborted ones too (their elapsed blocked
+   time was real contention and hurts p99). Times are read on the monitor's
+   clock, which never runs back: a run replayed after a later-ending one
+   starts at the clock's [floor]. *)
+let charge_wait monitor = function
+  | Spans.Transaction _ -> ()
+  | Spans.Wait { s_resource = resource; s_lu = lu; s_holders = holders;
+                 s_start; s_finish; _ } ->
+    let clock time = Float.max monitor.floor time in
+    let blocked = Float.max 0.0 (clock s_finish -. clock s_start) in
+    let stat = resource_stat monitor resource in
+    stat.r_waits <- stat.r_waits + 1;
+    (match lu with Some _ -> stat.r_lu <- lu | None -> ());
+    charge_resource monitor resource ~blocked;
+    charge_blockers monitor ~holders ~blocked;
+    observe_window monitor window_wait blocked;
+    (match lu with
+     | None -> ()
+     | Some { Event.lu_kind; _ } ->
+       observe_window monitor (labelled window_wait lu_kind) blocked)
 
-(* A victim's queued waits die with it; their elapsed blocked time was real
-   contention and is charged (aborted waits hurt p99 too). *)
-let drop_waits_of monitor txn =
-  Hashtbl.iter
-    (fun ((waiter, resource) as key) (start, lu, holders) ->
-      if waiter = txn then begin
-        charge_wait monitor ~resource ~lu ~holders ~start;
-        Hashtbl.remove monitor.waits key
-      end)
-    (Hashtbl.copy monitor.waits)
-
-let finish_txn monitor txn =
-  Hashtbl.remove monitor.active txn
+let create ?registry ?(span = 200.0) ?(hot_k = 32) () =
+  if hot_k <= 0 then invalid_arg "Monitor.create: hot_k must be positive";
+  let registry =
+    match registry with Some registry -> registry | None -> Registry.create ()
+  in
+  (* the collector's fold closes waits into [charge_wait], which needs the
+     monitor built around that collector *)
+  let charge = ref ignore in
+  let collector =
+    Collector.create ~registry ~on_close:(fun span -> !charge span) ()
+  in
+  let monitor =
+    { registry; collector; span; hot_k; mutex = Mutex.create ();
+      live_windows = [];
+      resource_sketch = Sketch.create ~k:hot_k;
+      blocker_sketch = Sketch.create ~k:hot_k;
+      resources = Hashtbl.create 256;
+      breaches = []; label = None; started = 0.0; now = 0.0; floor = 0.0;
+      seen = false }
+  in
+  charge := charge_wait monitor;
+  (* pre-declare the unlabelled instruments so exports carry stable keys *)
+  List.iter
+    (fun name ->
+      let window = Registry.window ~span monitor.registry name in
+      monitor.live_windows <- window :: monitor.live_windows)
+    [ window_wait; window_grants; window_commits; window_aborts;
+      window_deadlocks ];
+  List.iter
+    (fun name -> ignore (Registry.gauge monitor.registry name : Gauge.t))
+    [ gauge_active; gauge_entries; gauge_depth ];
+  monitor
 
 let reset monitor =
   Registry.reset monitor.registry;
-  Hashtbl.reset monitor.waits;
-  Hashtbl.reset monitor.held;
-  Hashtbl.reset monitor.active;
+  Spans.reset (Collector.spans monitor.collector);
   Hashtbl.reset monitor.resources;
   Sketch.reset monitor.resource_sketch;
   Sketch.reset monitor.blocker_sketch;
@@ -234,6 +232,7 @@ let reset monitor =
     (Registry.gauges monitor.registry);
   monitor.breaches <- [];
   monitor.started <- monitor.now;
+  monitor.floor <- monitor.now;
   monitor.seen <- false
 
 let begin_run monitor ~label =
@@ -246,42 +245,14 @@ let count_abort monitor reason =
   mark_window monitor window_aborts
 
 let handle_kind monitor kind =
+  (match Spans.abort_cause kind with
+   | Some cause -> count_abort monitor cause
+   | None -> ());
   match kind with
-  | Event.Txn_begin { txn } ->
-    Hashtbl.replace monitor.active txn ()
-  | Event.Txn_commit { txn } ->
-    finish_txn monitor txn;
-    mark_window monitor window_commits
-  | Event.Txn_abort { txn; reason } ->
-    finish_txn monitor txn;
-    drop_waits_of monitor txn;
-    (* deadlock/timeout victims already counted through their paired
-       Victim_aborted/Timeout_abort events (same taxonomy as Profile) *)
-    if
-      reason <> "deadlock_victim" && reason <> "timeout_victim"
-      && reason <> "contention_victim"
-    then count_abort monitor reason
-  | Event.Victim_aborted { txn; _ } ->
-    count_abort monitor "deadlock";
-    drop_waits_of monitor txn
-  | Event.Timeout_abort { txn; _ } ->
-    count_abort monitor "timeout";
-    drop_waits_of monitor txn
-  | Event.Lock_waited { txn; resource; lu; holders; _ } ->
-    if not (Hashtbl.mem monitor.waits (txn, resource)) then
-      Hashtbl.replace monitor.waits (txn, resource) (monitor.now, lu, holders)
-  | Event.Lock_granted { txn; resource; lu; _ } ->
-    (match Hashtbl.find_opt monitor.waits (txn, resource) with
-     | Some (start, wait_lu, holders) ->
-       Hashtbl.remove monitor.waits (txn, resource);
-       let lu = match wait_lu with Some _ -> wait_lu | None -> lu in
-       charge_wait monitor ~resource ~lu ~holders ~start
-     | None -> ());
-    Hashtbl.replace monitor.held (txn, resource) ();
+  | Event.Txn_commit _ -> mark_window monitor window_commits
+  | Event.Lock_granted { lu; _ } ->
     mark_window monitor window_grants;
     mark_lu monitor window_grants lu
-  | Event.Lock_released { txn; resource; _ } ->
-    Hashtbl.remove monitor.held (txn, resource)
   | Event.Deadlock_detected _ ->
     mark_window monitor window_deadlocks
   | Event.Slo_breach { rule; _ } ->
@@ -307,10 +278,9 @@ let handle_kind monitor kind =
     Registry.incr monitor.registry "retry.denied";
     Registry.set_gauge monitor.registry gauge_retry_denied
       (float_of_int (Registry.counter monitor.registry "retry.denied"))
-  | Event.Contention_abort { txn; _ } ->
-    count_abort monitor "contention";
-    drop_waits_of monitor txn
-  | Event.Lock_requested _ | Event.Conversion _ | Event.Escalation _
+  | Event.Txn_begin _ | Event.Txn_abort _ | Event.Victim_aborted _
+  | Event.Timeout_abort _ | Event.Contention_abort _ | Event.Lock_waited _
+  | Event.Lock_released _ | Event.Lock_requested _ | Event.Conversion _ | Event.Escalation _
   | Event.Deescalation _ | Event.Query_executed _ | Event.Sim_step _
   | Event.Waits_for _ ->
     ()

@@ -3,8 +3,9 @@
     state behind [/metrics], the SLO engine and [colock top].
 
     It embeds a {!Collector} on the same registry, so the cumulative
-    [events.*] counters and whole-run latency histograms ride along; the
-    monitor adds the live layer:
+    [events.*] counters and whole-run latency histograms ride along, and
+    charges every wait the collector's {!Spans} fold closes; the monitor
+    adds the live layer:
 
     - gauges [active_txns], [lock_entries], [wait_queue_depth]
     - windows [window.grants], [window.commits], [window.aborts],

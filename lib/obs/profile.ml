@@ -2,34 +2,13 @@
    handler, or offline from a decoded JSONL trace — into a report that says
    *where* blocked time lands on the object-specific lock graph.
 
-   The unit of attribution is the wait span:
-
-     Lock_waited(t0) ... Lock_granted(t1)          -> Granted,   dur t1-t0
-     Lock_waited(t0) ... Victim/Timeout/Txn_abort  -> Aborted,   dur ta-t0
-     Lock_waited(t0) ... end of stream             -> Unfinished, dur tend-t0
-
-   Every span carries the waiter's lockable-unit annotation (BLU/HoLU/HeLU +
+   The unit of attribution is the wait span, as [Spans] pairs it.  Every
+   span carries the waiter's lockable-unit annotation (BLU/HoLU/HeLU +
    depth) and the modes held by its blockers when the wait opened, so the
    same spans aggregate three ways: per LU level (the paper's granule
    question), per resource (hot spots), and per mode×mode conflict cell.
    The sum over any of these partitions equals the total blocked time — the
    report never invents or loses a tick relative to the event stream. *)
-
-type outcome = Granted | Aborted of string | Unfinished
-
-type span = {
-  s_txn : int;
-  s_resource : string;
-  s_mode : string;
-  s_holder_modes : string list;  (* distinct, at wait-open; [] = FIFO queue *)
-  s_lu : Event.lu option;
-  s_blockers : int list;
-  s_start : float;
-  s_finish : float;
-  s_outcome : outcome;
-}
-
-let duration span = Float.max 0.0 (span.s_finish -. span.s_start)
 
 type level_stat = {
   v_level : string;
@@ -71,7 +50,7 @@ type report = {
   total_blocked : float;
   wait_count : int;
   unfinished : int;
-  spans : span list;
+  spans : Spans.wait list;
   levels : level_stat list;
   depths : depth_stat list;
   resources : resource_stat list;  (* blocked-time descending *)
@@ -84,21 +63,8 @@ type report = {
 
 (* --------------------------------------------------------------- folding *)
 
-type open_wait = {
-  ow_mode : string;
-  ow_lu : Event.lu option;
-  ow_blockers : int list;
-  ow_holder_modes : string list;
-  ow_start : float;
-}
-
 type t = {
-  open_waits : (int * string, open_wait) Hashtbl.t;
-  held : (int * string, string) Hashtbl.t;  (* current granted modes *)
-  resource_lu : (string, Event.lu) Hashtbl.t;
-      (* tags learned from any event, so grants/releases annotate waits that
-         arrived untagged (and vice versa) *)
-  mutable spans : span list;  (* reversed *)
+  spans : Spans.t;
   mutable aborts : (string * int) list;
   mutable events : int;
   mutable first_time : float;
@@ -108,8 +74,7 @@ type t = {
 }
 
 let create () =
-  { open_waits = Hashtbl.create 64; held = Hashtbl.create 256;
-    resource_lu = Hashtbl.create 256; spans = []; aborts = []; events = 0;
+  { spans = Spans.create (); aborts = []; events = 0;
     first_time = Float.infinity; last_time = Float.neg_infinity;
     snapshots = 0; peak_wait_edges = 0 }
 
@@ -118,102 +83,27 @@ let count_abort profile cause =
   profile.aborts <-
     (cause, current + 1) :: List.remove_assoc cause profile.aborts
 
-let learn_lu profile kind =
-  match Event.resource_of kind, Event.lu_of kind with
-  | Some resource, Some lu -> Hashtbl.replace profile.resource_lu resource lu
-  | (Some _ | None), _ -> ()
-
-let lu_for profile resource explicit =
-  match explicit with
-  | Some _ -> explicit
-  | None -> Hashtbl.find_opt profile.resource_lu resource
-
-let close_wait profile key finish s_outcome =
-  match Hashtbl.find_opt profile.open_waits key with
-  | None -> ()
-  | Some wait ->
-    Hashtbl.remove profile.open_waits key;
-    let txn, resource = key in
-    profile.spans <-
-      { s_txn = txn; s_resource = resource; s_mode = wait.ow_mode;
-        s_holder_modes = wait.ow_holder_modes;
-        s_lu = lu_for profile resource wait.ow_lu;
-        s_blockers = wait.ow_blockers; s_start = wait.ow_start;
-        s_finish = Float.max wait.ow_start finish; s_outcome }
-      :: profile.spans
-
-let close_waits_of profile txn finish s_outcome =
-  Hashtbl.fold (fun key _wait keys -> key :: keys) profile.open_waits []
-  |> List.iter (fun (waiter, resource) ->
-         if waiter = txn then
-           close_wait profile (waiter, resource) finish s_outcome)
-
 let handle profile event =
   let { Event.time; kind } = event in
   profile.events <- profile.events + 1;
   if time < profile.first_time then profile.first_time <- time;
   if time > profile.last_time then profile.last_time <- time;
-  learn_lu profile kind;
+  Spans.handle profile.spans event;
+  (match Spans.abort_cause kind with
+   | Some cause -> count_abort profile cause
+   | None -> ());
   match kind with
-  | Event.Lock_waited { txn; resource; mode; blockers; lu; holders } ->
-    (* re-waits of an already-queued request keep the original open span *)
-    if not (Hashtbl.mem profile.open_waits (txn, resource)) then begin
-      let holder_modes =
-        match holders with
-        | [] ->
-          (* pre-holder trace: reconstruct the granted modes from grants
-             seen so far *)
-          List.filter_map
-            (fun blocker -> Hashtbl.find_opt profile.held (blocker, resource))
-            blockers
-          |> List.sort_uniq String.compare
-        | holders ->
-          List.map (fun { Event.h_mode; _ } -> h_mode) holders
-          |> List.sort_uniq String.compare
-      in
-      Hashtbl.replace profile.open_waits (txn, resource)
-        { ow_mode = mode; ow_lu = lu; ow_blockers = blockers;
-          ow_holder_modes = holder_modes; ow_start = time }
-    end
-  | Event.Lock_granted { txn; resource; mode; _ } ->
-    close_wait profile (txn, resource) time Granted;
-    Hashtbl.replace profile.held (txn, resource) mode
-  | Event.Conversion { txn; resource; to_mode; _ } ->
-    Hashtbl.replace profile.held (txn, resource) to_mode
-  | Event.Lock_released { txn; resource; _ } ->
-    Hashtbl.remove profile.held (txn, resource)
-  | Event.Victim_aborted { txn; _ } ->
-    count_abort profile "deadlock";
-    close_waits_of profile txn time (Aborted "deadlock")
-  | Event.Timeout_abort { txn; _ } ->
-    count_abort profile "timeout";
-    close_waits_of profile txn time (Aborted "timeout")
-  | Event.Txn_abort { txn; reason } ->
-    (* deadlock/timeout victims were already counted through their specific
-       events; the remaining reasons (crash, hog, user, gave_up) only show
-       up here *)
-    if
-      reason <> "deadlock_victim" && reason <> "timeout_victim"
-      && reason <> "contention_victim"
-    then count_abort profile reason;
-    close_waits_of profile txn time (Aborted reason)
-  | Event.Contention_abort { txn; _ } ->
-    count_abort profile "contention";
-    close_waits_of profile txn time (Aborted "contention")
   | Event.Waits_for { edges } ->
     profile.snapshots <- profile.snapshots + 1;
     let count = List.length edges in
     if count > profile.peak_wait_edges then profile.peak_wait_edges <- count
-  | Event.Lock_requested _ | Event.Escalation _ | Event.Deescalation _
-  | Event.Deadlock_detected _ | Event.Txn_begin _ | Event.Txn_commit _
-  | Event.Query_executed _ | Event.Sim_step _ | Event.Run_meta _
-  | Event.Slo_breach _ | Event.Admission _ | Event.Admission_limit _
-  | Event.Breaker _ | Event.Retry_denied _ ->
-    ()
+  | _ -> ()
 
 (* ----------------------------------------------------- report assembly *)
 
-let level_of span =
+let duration = Spans.duration
+
+let level_of (span : Spans.wait) =
   match span.s_lu with
   | Some { Event.lu_kind; _ } -> lu_kind
   | None -> "untagged"
@@ -222,7 +112,7 @@ module String_map = Map.Make (String)
 module Int_map = Map.Make (Int)
 
 let assemble_levels spans =
-  let accumulate map span =
+  let accumulate map (span : Spans.wait) =
     let level = level_of span in
     let blocked, waits, resources =
       match String_map.find_opt level map with
@@ -246,7 +136,7 @@ let assemble_levels spans =
          | order -> order)
 
 let assemble_depths spans =
-  let accumulate map span =
+  let accumulate map (span : Spans.wait) =
     match span.s_lu with
     | None -> map
     | Some { Event.lu_depth; _ } ->
@@ -263,7 +153,7 @@ let assemble_depths spans =
          { d_depth; d_blocked; d_waits })
 
 let assemble_resources spans =
-  let accumulate map span =
+  let accumulate map (span : Spans.wait) =
     let lu, blocked, waits =
       match String_map.find_opt span.s_resource map with
       | Some entry -> entry
@@ -283,7 +173,7 @@ let assemble_resources spans =
          | order -> order)
 
 let assemble_matrix spans =
-  let accumulate map span =
+  let accumulate map (span : Spans.wait) =
     let holders =
       match span.s_holder_modes with [] -> [ "queue" ] | modes -> modes
     in
@@ -313,11 +203,11 @@ let assemble_matrix spans =
    exactly such cycles, and a deadlocked chain is still worth reporting —
    it just cannot extend through itself). *)
 let assemble_txns spans =
-  let spans = Array.of_list spans in
+  let spans : Spans.wait array = Array.of_list spans in
   let count = Array.length spans in
   let by_txn = Hashtbl.create 32 in
   Array.iteri
-    (fun index span ->
+    (fun index (span : Spans.wait) ->
       let known =
         Option.value ~default:[] (Hashtbl.find_opt by_txn span.s_txn)
       in
@@ -392,23 +282,25 @@ let assemble_txns spans =
          | order -> order)
 
 let finish ?label profile =
-  let last_time = if profile.events = 0 then 0.0 else profile.last_time in
-  (* the stream ended with waiters still queued: attribute their blocked
-     time up to the last event, marked unfinished *)
-  Hashtbl.fold (fun key _wait keys -> key :: keys) profile.open_waits []
-  |> List.iter (fun key -> close_wait profile key last_time Unfinished);
-  let spans = List.rev profile.spans in
+  let spans =
+    List.filter_map
+      (function Spans.Wait wait -> Some wait | Spans.Transaction _ -> None)
+      (Spans.finish profile.spans)
+  in
   let total_blocked =
     List.fold_left (fun total span -> total +. duration span) 0.0 spans
   in
   let unfinished =
     List.length
-      (List.filter (fun span -> span.s_outcome = Unfinished) spans)
+      (List.filter
+         (fun (span : Spans.wait) -> span.s_outcome = Spans.Unfinished)
+         spans)
   in
   { label; events = profile.events;
     first_time = (if profile.events = 0 then 0.0 else profile.first_time);
-    last_time; total_blocked; wait_count = List.length spans; unfinished;
-    spans; levels = assemble_levels spans; depths = assemble_depths spans;
+    last_time = (if profile.events = 0 then 0.0 else profile.last_time);
+    total_blocked; wait_count = List.length spans; unfinished; spans;
+    levels = assemble_levels spans; depths = assemble_depths spans;
     resources = assemble_resources spans; matrix = assemble_matrix spans;
     aborts =
       List.sort (fun (a, _) (b, _) -> String.compare a b) profile.aborts;
@@ -420,68 +312,8 @@ let of_events ?label events =
   List.iter (handle profile) events;
   finish ?label profile
 
-(* A JSONL file can hold several runs, delimited by [Run_meta] lines; each
-   becomes its own report.  Events before the first delimiter form an
-   unlabelled report (a bare [colock simulate --jsonl] single-run trace). *)
 let of_trace events =
-  let flush reports label batch =
-    match batch, label with
-    | [], None -> reports
-    | batch, label -> of_events ?label (List.rev batch) :: reports
-  in
-  let reports, label, batch =
-    List.fold_left
-      (fun (reports, label, batch) event ->
-        match event.Event.kind with
-        | Event.Run_meta { label = next } ->
-          (flush reports label batch, Some next, [])
-        | _ -> (reports, label, event :: batch))
-      ([], None, []) events
-  in
-  List.rev (flush reports label batch)
-
-(* Each span's duration split equally over its blockers ("queue" when the
-   FIFO rule alone blocked it); the equal split's float residue lands on
-   the first (sorted) share so the partition sums to total_blocked to the
-   tick — the same discipline Blame and Diff use. *)
-let blockers (report : report) =
-  let accumulate map span =
-    let keys =
-      match span.s_blockers with
-      | [] -> [ "queue" ]
-      | blockers ->
-        List.sort_uniq String.compare
-          (List.map (fun txn -> "T" ^ string_of_int txn) blockers)
-    in
-    let shares =
-      match keys with
-      | [] -> []
-      | [ key ] -> [ (key, duration span) ]
-      | first :: rest ->
-        let width = duration span /. float_of_int (List.length keys) in
-        let tail =
-          List.fold_left (fun total _key -> total +. width) 0.0 rest
-        in
-        (first, duration span -. tail)
-        :: List.map (fun key -> (key, width)) rest
-    in
-    List.fold_left
-      (fun map (key, weight) ->
-        let blocked, waits =
-          match String_map.find_opt key map with
-          | Some cell -> cell
-          | None -> (0.0, 0)
-        in
-        String_map.add key (blocked +. weight, waits + 1) map)
-      map shares
-  in
-  List.fold_left accumulate String_map.empty report.spans
-  |> String_map.bindings
-  |> List.map (fun (label, (blocked, waits)) -> (label, blocked, waits))
-  |> List.sort (fun (a_label, a_blocked, _) (b_label, b_blocked, _) ->
-         match Float.compare b_blocked a_blocked with
-         | 0 -> String.compare a_label b_label
-         | order -> order)
+  List.map (fun (label, events) -> of_events ?label events) (Spans.runs events)
 
 (* ------------------------------------------------------------ rendering *)
 

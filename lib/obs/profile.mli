@@ -1,36 +1,14 @@
 (** The contention profiler: attributes blocked time to the lock graph.
 
-    Folds a lock-event stream into wait spans ([Lock_waited] to the matching
-    grant, abort, or end of stream) and aggregates them per lockable-unit
-    level (BLU/HoLU/HeLU), per graph depth, per resource, and per
-    waiter-mode × holder-mode conflict cell — plus an abort-cause taxonomy,
+    Folds a lock-event stream into {!Spans} wait spans and aggregates them
+    per lockable-unit level (BLU/HoLU/HeLU), per graph depth, per resource,
+    and per waiter-mode × holder-mode conflict cell — plus an abort-cause taxonomy,
     per-transaction longest-wait-chain breakdowns, and wait-for snapshot
     statistics. Each partition of the report sums to the same total blocked
     time as the raw [Lock_waited] durations in the stream.
 
     Works online (attach {!handle} to a {!Sink}, then {!finish}) and offline
     ({!of_trace} on a decoded JSONL trace from {!Jsonl.load}). *)
-
-type outcome =
-  | Granted  (** the wait ended in a grant *)
-  | Aborted of string  (** the waiter died first; cause tag *)
-  | Unfinished  (** still queued when the stream ended *)
-
-type span = {
-  s_txn : int;
-  s_resource : string;
-  s_mode : string;  (** the mode the waiter asked for *)
-  s_holder_modes : string list;
-      (** distinct modes held by the blockers at wait-open; [[]] means the
-          wait was caused by the FIFO queue rule alone *)
-  s_lu : Event.lu option;
-  s_blockers : int list;
-  s_start : float;
-  s_finish : float;
-  s_outcome : outcome;
-}
-
-val duration : span -> float
 
 type level_stat = {
   v_level : string;  (** ["BLU"], ["HoLU"], ["HeLU"], or ["untagged"] *)
@@ -74,7 +52,7 @@ type report = {
   total_blocked : float;  (** equals the sum of every partition below *)
   wait_count : int;
   unfinished : int;
-  spans : span list;  (** stream order *)
+  spans : Spans.wait list;  (** close order *)
   levels : level_stat list;  (** blocked-time descending *)
   depths : depth_stat list;  (** depth ascending; tagged spans only *)
   resources : resource_stat list;  (** blocked-time descending *)
@@ -101,17 +79,7 @@ val of_events : ?label:string -> Event.t list -> report
 (** One-shot fold over an in-memory event list. *)
 
 val of_trace : Event.t list -> report list
-(** Folds a decoded JSONL trace, splitting it at [Run_meta] delimiters into
-    one labelled report per run (events before the first delimiter, if any,
-    form an unlabelled report). *)
-
-val blockers : report -> (string * float * int) list
-(** Per-blocker blocked-time partition: each span's duration is split
-    equally across its blocking transactions (labelled ["T7"]; ["queue"]
-    when the FIFO rule alone blocked it), with the float residue of the
-    equal split folded into the first share so the partition sums to
-    [total_blocked] exactly. [(label, blocked, waits)] in blocked-time
-    descending order, ties by label. *)
+(** Folds a decoded JSONL trace into one report per {!Spans.runs} run. *)
 
 val to_json : report -> Json.t
 

@@ -3,11 +3,11 @@
    to threads, so lock-wait and transaction spans of concurrent transactions
    stack as parallel timelines.
 
-   Span pairing happens here, at export time, from the flat event stream:
-     Lock_waited -> Lock_granted   "wait <resource>"   (cat "lock")
-     Txn_begin   -> Txn_commit/abort   "T<n>"          (cat "txn")
-   Unclosed spans (still blocked / still running when the capture ended)
-   close at the capture's last timestamp, marked unfinished. *)
+   Spans come from the [Spans] fold over the flat event stream:
+     wait span          "wait <resource>"   (cat "lock")
+     transaction span   "T<n>"              (cat "txn")
+   Waits that did not end in a grant, and transactions still running when
+   the capture ended, are marked unfinished. *)
 
 let default_ts_scale = 1000.0
 (* Trace timestamps are microseconds.  Simulator ticks export as
@@ -36,163 +36,102 @@ let ints items = Json.List (List.map (fun i -> Json.Int i) items)
 let group_events ~pid ~scale events =
   let out = ref [] in
   let push json = out := json :: !out in
-  let last_time =
-    List.fold_left (fun latest event -> Float.max latest event.Event.time) 0.0
-      events
+  let unfinished finished =
+    if finished then [] else [ ("unfinished", Json.Bool true) ]
   in
-  let waits = Hashtbl.create 32 in
-  let begins = Hashtbl.create 32 in
-  let wait_span ~txn ~resource ~start ~finish ~mode ~blockers ~finished =
+  let slice ~tid ~name ~cat ~start ~finish args =
     push
-      (complete ~pid ~tid:txn ~name:("wait " ^ resource) ~cat:"lock"
-         ~ts:(start *. scale)
+      (complete ~pid ~tid ~name ~cat ~ts:(start *. scale)
          ~dur:((finish -. start) *. scale)
-         ([ ("mode", Json.String mode); ("blockers", ints blockers) ]
-          @ if finished then [] else [ ("unfinished", Json.Bool true) ]))
+         args)
   in
-  let txn_span ~txn ~start ~finish ~outcome ~finished =
-    push
-      (complete ~pid ~tid:txn ~name:(Printf.sprintf "T%d" txn) ~cat:"txn"
-         ~ts:(start *. scale)
-         ~dur:((finish -. start) *. scale)
-         (("outcome", Json.String outcome)
-          :: (if finished then [] else [ ("unfinished", Json.Bool true) ])))
+  let spans =
+    Spans.create
+      ~on_close:(function
+        | Spans.Wait wait ->
+          slice ~tid:wait.s_txn ~name:("wait " ^ wait.s_resource) ~cat:"lock"
+            ~start:wait.s_start ~finish:wait.s_finish
+            ([ ("mode", Json.String wait.s_mode);
+               ("blockers", ints wait.s_blockers) ]
+            @ unfinished (wait.s_outcome = Spans.Granted))
+        | Spans.Transaction { t_begin = None; _ } -> ()
+        | Spans.Transaction { t_txn; t_begin = Some start; t_finish; t_outcome }
+          ->
+          slice ~tid:t_txn ~name:(Printf.sprintf "T%d" t_txn) ~cat:"txn"
+            ~start ~finish:t_finish
+            (( "outcome",
+               Json.String
+                 (match t_outcome with
+                  | Some "commit" -> "committed"
+                  | Some reason -> reason
+                  | None -> "running") )
+            :: unfinished (t_outcome <> None)))
+      ()
   in
   List.iter
-    (fun { Event.time; kind } ->
+    (fun ({ Event.time; kind } as event) ->
+      Spans.handle spans event;
+      let mark ~tid name cat args =
+        push (instant ~pid ~tid ~name ~cat ~ts:(time *. scale) args)
+      in
       match kind with
-      | Event.Txn_begin { txn } ->
-        if not (Hashtbl.mem begins txn) then Hashtbl.replace begins txn time
-      | Event.Txn_commit { txn } -> (
-        match Hashtbl.find_opt begins txn with
-        | Some start ->
-          Hashtbl.remove begins txn;
-          txn_span ~txn ~start ~finish:time ~outcome:"committed" ~finished:true
-        | None -> ())
-      | Event.Txn_abort { txn; reason } -> (
-        match Hashtbl.find_opt begins txn with
-        | Some start ->
-          Hashtbl.remove begins txn;
-          txn_span ~txn ~start ~finish:time ~outcome:reason ~finished:true
-        | None -> ())
-      | Event.Lock_waited { txn; resource; mode; blockers; _ } ->
-        if not (Hashtbl.mem waits (txn, resource)) then
-          Hashtbl.replace waits (txn, resource) (time, mode, blockers)
-      | Event.Lock_granted { txn; resource; _ } -> (
-        match Hashtbl.find_opt waits (txn, resource) with
-        | Some (start, mode, blockers) ->
-          Hashtbl.remove waits (txn, resource);
-          wait_span ~txn ~resource ~start ~finish:time ~mode ~blockers
-            ~finished:true
-        | None -> ())
       | Event.Victim_aborted { txn; restarts } ->
-        Hashtbl.iter
-          (fun (waiter, resource) (start, mode, blockers) ->
-            if waiter = txn then begin
-              Hashtbl.remove waits (waiter, resource);
-              wait_span ~txn ~resource ~start ~finish:time ~mode ~blockers
-                ~finished:false
-            end)
-          (Hashtbl.copy waits);
-        push
-          (instant ~pid ~tid:txn ~name:"victim aborted" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ("restarts", Json.Int restarts) ])
+        mark ~tid:txn "victim aborted" "deadlock"
+          [ ("restarts", Json.Int restarts) ]
       | Event.Timeout_abort { txn; resource; waited; _ } ->
-        Hashtbl.iter
-          (fun (waiter, res) (start, mode, blockers) ->
-            if waiter = txn then begin
-              Hashtbl.remove waits (waiter, res);
-              wait_span ~txn ~resource:res ~start ~finish:time ~mode ~blockers
-                ~finished:false
-            end)
-          (Hashtbl.copy waits);
-        push
-          (instant ~pid ~tid:txn ~name:"timeout abort" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ("resource", Json.String resource);
-               ("waited", Json.Int waited) ])
+        mark ~tid:txn "timeout abort" "deadlock"
+          [ ("resource", Json.String resource); ("waited", Json.Int waited) ]
       | Event.Deadlock_detected { cycle } ->
         let tid = match cycle with txn :: _ -> txn | [] -> 0 in
-        push
-          (instant ~pid ~tid ~name:"deadlock" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ("cycle", ints cycle) ])
+        mark ~tid "deadlock" "deadlock" [ ("cycle", ints cycle) ]
       | Event.Escalation { txn; node; mode; released_children } ->
-        push
-          (instant ~pid ~tid:txn ~name:("escalate " ^ node) ~cat:"escalation"
-             ~ts:(time *. scale)
-             [ ("mode", Json.String mode);
-               ("released_children", Json.Int released_children) ])
+        mark ~tid:txn ("escalate " ^ node) "escalation"
+          [ ("mode", Json.String mode);
+            ("released_children", Json.Int released_children) ]
       | Event.Deescalation { txn; node; mode } ->
-        push
-          (instant ~pid ~tid:txn ~name:("de-escalate " ^ node)
-             ~cat:"escalation" ~ts:(time *. scale)
-             [ ("mode", Json.String mode) ])
+        mark ~tid:txn ("de-escalate " ^ node) "escalation"
+          [ ("mode", Json.String mode) ]
       | Event.Query_executed { txn; query; rows; locks_requested } ->
-        push
-          (instant ~pid ~tid:txn ~name:"query" ~cat:"query" ~ts:(time *. scale)
-             [ ("query", Json.String query); ("rows", Json.Int rows);
-               ("locks_requested", Json.Int locks_requested) ])
+        mark ~tid:txn "query" "query"
+          [ ("query", Json.String query); ("rows", Json.Int rows);
+            ("locks_requested", Json.Int locks_requested) ]
       | Event.Sim_step { txn; step } ->
-        push
-          (instant ~pid ~tid:txn ~name:(Printf.sprintf "step %d" step)
-             ~cat:"sim" ~ts:(time *. scale) [])
+        mark ~tid:txn (Printf.sprintf "step %d" step) "sim" []
       | Event.Waits_for { edges } ->
-        push
-          (instant ~pid ~tid:0 ~name:"waits-for" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ( "edges",
-                 Json.List
-                   (List.map
-                      (fun (waiter, blocker) -> ints [ waiter; blocker ])
-                      edges) ) ])
+        mark ~tid:0 "waits-for" "deadlock"
+          [ ( "edges",
+              Json.List
+                (List.map
+                   (fun (waiter, blocker) -> ints [ waiter; blocker ])
+                   edges) ) ]
       | Event.Slo_breach { rule; value; threshold } ->
-        push
-          (instant ~pid ~tid:0 ~name:"SLO breach" ~cat:"slo"
-             ~ts:(time *. scale)
-             [ ("rule", Json.String rule); ("value", Json.Float value);
-               ("threshold", Json.Float threshold) ])
+        mark ~tid:0 "SLO breach" "slo"
+          [ ("rule", Json.String rule); ("value", Json.Float value);
+            ("threshold", Json.Float threshold) ]
       | Event.Admission { txn; priority; decision } ->
-        push
-          (instant ~pid ~tid:txn ~name:("admission " ^ decision)
-             ~cat:"overload" ~ts:(time *. scale)
-             [ ("priority", Json.String priority) ])
+        mark ~tid:txn ("admission " ^ decision) "overload"
+          [ ("priority", Json.String priority) ]
       | Event.Admission_limit { limit; inflight; queued; shed } ->
-        push
-          (instant ~pid ~tid:0 ~name:"admission limit" ~cat:"overload"
-             ~ts:(time *. scale)
-             [ ("limit", Json.Int limit); ("inflight", Json.Int inflight);
-               ("queued", Json.Int queued); ("shed", Json.Int shed) ])
+        mark ~tid:0 "admission limit" "overload"
+          [ ("limit", Json.Int limit); ("inflight", Json.Int inflight);
+            ("queued", Json.Int queued); ("shed", Json.Int shed) ]
       | Event.Breaker { from_state; to_state } ->
-        push
-          (instant ~pid ~tid:0
-             ~name:(Printf.sprintf "breaker %s->%s" from_state to_state)
-             ~cat:"overload" ~ts:(time *. scale) [])
+        mark ~tid:0
+          (Printf.sprintf "breaker %s->%s" from_state to_state)
+          "overload" []
       | Event.Retry_denied { txn; restarts } ->
-        push
-          (instant ~pid ~tid:txn ~name:"retry denied" ~cat:"overload"
-             ~ts:(time *. scale)
-             [ ("restarts", Json.Int restarts) ])
+        mark ~tid:txn "retry denied" "overload"
+          [ ("restarts", Json.Int restarts) ]
       | Event.Contention_abort { txn; policy; depth } ->
-        push
-          (instant ~pid ~tid:txn ~name:"contention abort" ~cat:"overload"
-             ~ts:(time *. scale)
-             [ ("policy", Json.String policy); ("depth", Json.Int depth) ])
-      | Event.Lock_requested _ | Event.Lock_released _ | Event.Conversion _
-      | Event.Run_meta _ ->
+        mark ~tid:txn "contention abort" "overload"
+          [ ("policy", Json.String policy); ("depth", Json.Int depth) ]
+      | Event.Txn_begin _ | Event.Txn_commit _ | Event.Txn_abort _
+      | Event.Lock_waited _ | Event.Lock_granted _ | Event.Lock_requested _
+      | Event.Lock_released _ | Event.Conversion _ | Event.Run_meta _ ->
         ())
     events;
   (* capture ended with spans still open *)
-  Hashtbl.iter
-    (fun (txn, resource) (start, mode, blockers) ->
-      wait_span ~txn ~resource ~start ~finish:last_time ~mode ~blockers
-        ~finished:false)
-    waits;
-  Hashtbl.iter
-    (fun txn start ->
-      txn_span ~txn ~start ~finish:last_time ~outcome:"running" ~finished:false)
-    begins;
+  ignore (Spans.finish spans : Spans.span list);
   List.rev !out
 
 let ts_of = function

@@ -3,12 +3,11 @@
     one timeline row per transaction.
 
     Each [(name, events)] group becomes one trace "process" (named via
-    metadata); transaction ids become thread ids. Span pairing happens at
-    export time from the flat stream: [Lock_waited]→[Lock_granted] becomes a
-    ["wait <resource>"] span, [Txn_begin]→[Txn_commit]/[Txn_abort] becomes a
-    ["T<n>"] span; deadlocks, escalations, queries and simulator steps
-    export as instant events. Spans still open when the capture ends close
-    at the last captured timestamp, tagged [unfinished]. *)
+    metadata); transaction ids become thread ids. Each {!Spans} wait
+    becomes a ["wait <resource>"] span and each transaction a ["T<n>"]
+    span; deadlocks, escalations, queries and simulator steps export as
+    instant events. Waits that did not end in a grant and transactions
+    still running at the capture's end are tagged [unfinished]. *)
 
 val to_json : ?ts_scale:float -> (string * Event.t list) list -> Json.t
 (** [ts_scale] converts event-time units to trace microseconds; the default

@@ -8,6 +8,7 @@
 module Event = Obs.Event
 module Blame = Obs.Blame
 module Profile = Obs.Profile
+module Spans = Obs.Spans
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -45,12 +46,12 @@ let test_release_splits_blame () =
   let wait = List.hd report.Blame.waits in
   check_int "two shares" 2 (List.length wait.Blame.w_shares);
   check_float "T2 charged while holding" 10.0
-    (share_of (Blame.Txn 2) wait).Blame.sh_blame;
+    (share_of (Spans.Txn 2) wait).Blame.sh_blame;
   Alcotest.(check (option string))
     "T2's held mode recorded" (Some "S")
-    (share_of (Blame.Txn 2) wait).Blame.sh_mode;
+    (share_of (Spans.Txn 2) wait).Blame.sh_mode;
   check_float "the queue owns the rest" 10.0
-    (share_of Blame.Queue wait).Blame.sh_blame;
+    (share_of Spans.Queue wait).Blame.sh_blame;
   let caused txn =
     (List.find (fun { Blame.x_txn; _ } -> x_txn = txn) report.Blame.txns)
       .Blame.x_caused
@@ -93,9 +94,9 @@ let test_rewait_swaps_blockers () =
   check_int "still one wait" 1 report.Blame.wait_count;
   let wait = List.hd report.Blame.waits in
   check_float "first holder charged its segment" 10.0
-    (share_of (Blame.Txn 2) wait).Blame.sh_blame;
+    (share_of (Spans.Txn 2) wait).Blame.sh_blame;
   check_float "second holder charged the rest" 10.0
-    (share_of (Blame.Txn 3) wait).Blame.sh_blame
+    (share_of (Spans.Txn 3) wait).Blame.sh_blame
 
 let test_aborted_and_unfinished_waits () =
   let report =
@@ -109,14 +110,14 @@ let test_aborted_and_unfinished_waits () =
   check_float "aborted wait charged in full" 50.0 report.Blame.total_blocked;
   check_float "and blamed in full" 50.0 report.Blame.total_blamed;
   let wait_of txn =
-    List.find (fun w -> w.Blame.w_txn = txn) report.Blame.waits
+    List.find (fun w -> w.Blame.w_span.Spans.s_txn = txn) report.Blame.waits
   in
   Alcotest.(check bool)
     "victim's wait tagged" true
-    ((wait_of 1).Blame.w_outcome = Blame.Aborted "deadlock");
+    ((wait_of 1).Blame.w_span.Spans.s_outcome = Spans.Aborted "deadlock");
   Alcotest.(check bool)
     "open wait tagged unfinished" true
-    ((wait_of 3).Blame.w_outcome = Blame.Unfinished)
+    ((wait_of 3).Blame.w_span.Spans.s_outcome = Spans.Unfinished)
 
 (* ----------------------------------------------- fixture conservation *)
 

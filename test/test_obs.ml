@@ -240,6 +240,45 @@ let test_trace_exports_wait_span () =
   check_bool "has the process name" true (contains "\"proposed\"" rendered);
   check_bool "closes the txn span" true (contains "\"committed\"" rendered)
 
+(* A contention-aborted wait is closed at the abort and marked unfinished;
+   the restarted wait on the same resource is a slice of its own. *)
+let test_trace_closes_aborted_wait () =
+  let events =
+    [ { Event.time = 10.0; kind = wait 1 "r" };
+      { Event.time = 20.0;
+        kind =
+          Event.Contention_abort { txn = 1; policy = "wdl:1"; depth = 2 } };
+      { Event.time = 30.0; kind = wait 1 "r" };
+      { Event.time = 40.0; kind = grant 1 "r" } ]
+  in
+  let slices =
+    match Obs.Trace.to_json [ ("proposed", events) ] with
+    | Obs.Json.Obj fields -> (
+      match List.assoc_opt "traceEvents" fields with
+      | Some (Obs.Json.List entries) ->
+        List.filter_map
+          (function
+            | Obs.Json.Obj slice
+              when List.assoc_opt "name" slice = Some (Obs.Json.String "wait r")
+              -> (
+              match
+                ( List.assoc_opt "ts" slice, List.assoc_opt "dur" slice,
+                  List.assoc_opt "args" slice )
+              with
+              | Some (Obs.Json.Float ts), Some (Obs.Json.Float dur),
+                Some (Obs.Json.Obj args) ->
+                Some (ts, dur, List.mem_assoc "unfinished" args)
+              | _ -> None)
+            | _ -> None)
+          entries
+      | _ -> [])
+    | _ -> []
+  in
+  Alcotest.(check (list (triple (float 0.0) (float 0.0) bool)))
+    "aborted slice, then the restarted wait"
+    [ (10000.0, 10000.0, true); (30000.0, 10000.0, false) ]
+    slices
+
 let () =
   Alcotest.run "obs"
     [ ("histogram",
@@ -272,5 +311,7 @@ let () =
          Alcotest.test_case "memory keep" `Quick
            test_memory_keep_filters_ring_only ]);
       ("trace",
-       [ Alcotest.test_case "wait span" `Quick test_trace_exports_wait_span ])
+       [ Alcotest.test_case "wait span" `Quick test_trace_exports_wait_span;
+         Alcotest.test_case "aborted wait closes" `Quick
+           test_trace_closes_aborted_wait ])
     ]

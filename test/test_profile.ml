@@ -5,6 +5,7 @@
 
 module Event = Obs.Event
 module Profile = Obs.Profile
+module Spans = Obs.Spans
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -44,7 +45,7 @@ let test_exact_attribution () =
   check_int "unfinished" 1 report.Profile.unfinished;
   let sum_spans =
     List.fold_left
-      (fun acc span -> acc +. Profile.duration span)
+      (fun acc span -> acc +. Spans.duration span)
       0.0 report.Profile.spans
   in
   check_float "spans sum to total" report.Profile.total_blocked sum_spans;
@@ -86,13 +87,13 @@ let test_exact_attribution () =
 let test_outcomes_and_matrix () =
   let report = Profile.of_events attribution_events in
   let span_for txn =
-    List.find (fun s -> s.Profile.s_txn = txn) report.Profile.spans
+    List.find (fun s -> s.Spans.s_txn = txn) report.Profile.spans
   in
-  check_bool "T1 granted" true ((span_for 1).Profile.s_outcome = Profile.Granted);
+  check_bool "T1 granted" true ((span_for 1).Spans.s_outcome = Spans.Granted);
   check_bool "T3 aborted as deadlock victim" true
-    ((span_for 3).Profile.s_outcome = Profile.Aborted "deadlock");
+    ((span_for 3).Spans.s_outcome = Spans.Aborted "deadlock");
   check_bool "T2 unfinished" true
-    ((span_for 2).Profile.s_outcome = Profile.Unfinished);
+    ((span_for 2).Spans.s_outcome = Spans.Unfinished);
   (* the Txn_abort{deadlock_victim} echo must not double-count the abort *)
   Alcotest.(check (list (pair string int)))
     "abort taxonomy" [ ("deadlock", 1) ] report.Profile.aborts;
