@@ -58,13 +58,12 @@ let pp_step formatter { node; mode; reason } =
    node occurs in. *)
 module Plan_builder = struct
   type builder = {
-    mutable steps : step list;  (* reversed *)
     positions : (Node_id.t, step ref) Hashtbl.t;
     mutable order : step ref list;  (* reversed insertion order *)
   }
 
   let create () =
-    { steps = []; positions = Hashtbl.create 32; order = [] }
+    { positions = Hashtbl.create 32; order = [] }
 
   let add builder node mode reason =
     match Hashtbl.find_opt builder.positions node with

@@ -55,6 +55,11 @@ let find_cycle ~edges =
       match found with Some _ -> found | None -> visit [] node)
     None nodes
 
+let cycle_through table ~txn =
+  if Lock_table.on_cycle table ~txn then
+    find_cycle ~edges:(Lock_table.waits_for_edges table)
+  else None
+
 let choose_victim ?(priority = fun txn -> -txn) cycle =
   match cycle with
   | [] -> invalid_arg "Deadlock.choose_victim: empty cycle"

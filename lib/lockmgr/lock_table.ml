@@ -92,6 +92,11 @@ let drop_entry_if_empty table resource entry =
 let held_triple entry txn =
   List.find_opt (fun (holder, _mode, _duration) -> holder = txn) entry.granted
 
+let held_mode entry txn =
+  match held_triple entry txn with
+  | Some (_txn, mode, _duration) -> mode
+  | None -> Lock_mode.NL
+
 (* Conflict test against every *other* holder; counts each test. *)
 let compatible_with_others table entry txn mode =
   List.for_all
@@ -103,25 +108,6 @@ let compatible_with_others table entry txn mode =
         Lock_mode.compatible mode held_mode
       end)
     entry.granted
-
-let incompatible_holders entry txn mode =
-  List.filter_map
-    (fun (holder, held_mode, _duration) ->
-      if holder <> txn && not (Lock_mode.compatible mode held_mode) then
-        Some (holder, held_mode)
-      else None)
-    entry.granted
-  |> List.sort compare
-
-(* The incompatible granted group as event payload: txn, held mode, and the
-   resource's lockable-unit annotation. *)
-let blocking_holders table entry txn mode resource =
-  let lu = table.meta resource in
-  List.map
-    (fun (holder, held_mode) ->
-      { Obs.Event.h_txn = holder; h_mode = Lock_mode.to_string held_mode;
-        h_lu = lu })
-    (incompatible_holders entry txn mode)
 
 let sup_duration a b =
   match a, b with Long, _ | _, Long -> Long | Short, Short -> Short
@@ -156,33 +142,29 @@ let install_grant table entry txn mode duration resource =
    enqueued in front, so plain head-of-queue draining preserves both upgrade
    priority and FIFO fairness. *)
 let drain table resource entry =
-  let rec serve served =
+  let rec serve () =
     match entry.waiting with
-    | [] -> served
-    | head :: rest ->
-      if compatible_with_others table entry head.w_txn head.w_mode then begin
-        entry.waiting <- rest;
-        install_grant table entry head.w_txn head.w_mode head.w_duration
-          resource;
-        serve
-          (( { g_txn = head.w_txn; g_resource = resource;
-               g_mode = head.w_mode },
-             head.w_holders )
-          :: served)
-      end
-      else served
+    | head :: rest
+      when compatible_with_others table entry head.w_txn head.w_mode ->
+      entry.waiting <- rest;
+      install_grant table entry head.w_txn head.w_mode head.w_duration resource;
+      head :: serve ()
+    | _ -> []
   in
-  let served = List.rev (serve []) in
+  let served = serve () in
   drop_entry_if_empty table resource entry;
   List.iter
-    (fun (grant, holders) ->
+    (fun head ->
       emit table
         (Obs.Event.Lock_granted
-           { txn = grant.g_txn; resource = grant.g_resource;
-             mode = Lock_mode.to_string grant.g_mode; immediate = false;
-             lu = table.meta grant.g_resource; holders }))
+           { txn = head.w_txn; resource; mode = Lock_mode.to_string head.w_mode;
+             immediate = false; lu = table.meta resource;
+             holders = head.w_holders }))
     served;
-  List.map fst served
+  List.map
+    (fun head ->
+      { g_txn = head.w_txn; g_resource = resource; g_mode = head.w_mode })
+    served
 
 let enqueue entry waiter =
   if waiter.w_conversion then begin
@@ -197,57 +179,78 @@ let enqueue entry waiter =
 let already_waiting entry txn =
   List.exists (fun waiter -> waiter.w_txn = txn) entry.waiting
 
-let request table ~txn ?(duration = Short) ?deadline ~resource mode =
+(* The one grant-vs-block decision behind {!request} and {!try_request}.
+   The request asks for sup(held, mode). It is granted at once when that is
+   already covered (a long request still makes the lock long), or when [txn]
+   is not queued here, the FIFO rule lets it pass (a conversion, or an empty
+   queue) and it is compatible with the other holders. Otherwise its
+   blockers are the incompatible holders, or else the other waiters; with
+   [~queue] it also enqueues (once) and reports the wait. *)
+let admit table ~txn ~duration ?deadline ~queue ~resource mode =
   table.stats.Lock_stats.requests <- table.stats.Lock_stats.requests + 1;
   emit table
     (Obs.Event.Lock_requested
        { txn; resource; mode = Lock_mode.to_string mode;
          lu = table.meta resource });
   let entry = entry_of table resource in
-  let current =
-    match held_triple entry txn with
-    | Some (_txn, held_mode, _duration) -> held_mode
-    | None -> Lock_mode.NL
-  in
+  let current = held_mode entry txn in
   let target = Lock_mode.sup current mode in
-  if Lock_mode.equal target current then begin
-    (* Already covered; refresh duration (a long request must stick). *)
-    if duration = Long then
-      install_grant table entry txn current Long resource;
+  let covered = Lock_mode.equal target current in
+  let conversion = not (Lock_mode.equal current Lock_mode.NL) in
+  let queued = (not covered) && already_waiting entry txn in
+  if
+    covered
+    || (not queued)
+       && (conversion || entry.waiting = [])
+       && compatible_with_others table entry txn target
+  then begin
+    if (not covered) || duration = Long then
+      install_grant table entry txn target duration resource;
     table.stats.Lock_stats.immediate_grants <-
       table.stats.Lock_stats.immediate_grants + 1;
     emit table
       (Obs.Event.Lock_granted
-         { txn; resource; mode = Lock_mode.to_string current;
-           immediate = true; lu = table.meta resource; holders = [] });
+         { txn; resource; mode = Lock_mode.to_string target; immediate = true;
+           lu = table.meta resource; holders = [] });
+    if not covered then
+      Log.debug (fun log ->
+          log "T%d granted %s on %s" txn (Lock_mode.to_string target) resource);
     drop_entry_if_empty table resource entry;
     Granted
   end
   else begin
-    let conversion = not (Lock_mode.equal current Lock_mode.NL) in
-    let queued = already_waiting entry txn in
-    let fifo_blocked = (not conversion) && entry.waiting <> [] && not queued in
-    if
-      (not fifo_blocked) && (not queued)
-      && compatible_with_others table entry txn target
-    then begin
-      install_grant table entry txn target duration resource;
-      table.stats.Lock_stats.immediate_grants <-
-        table.stats.Lock_stats.immediate_grants + 1;
-      emit table
-        (Obs.Event.Lock_granted
-           { txn; resource; mode = Lock_mode.to_string target;
-             immediate = true; lu = table.meta resource; holders = [] });
-      Log.debug (fun log ->
-          log "T%d granted %s on %s" txn (Lock_mode.to_string target) resource);
-      Granted
-    end
-    else begin
+    let incompatible =
+      List.filter_map
+        (fun (holder, held_mode, _duration) ->
+          if holder <> txn && not (Lock_mode.compatible target held_mode) then
+            Some (holder, held_mode)
+          else None)
+        entry.granted
+      |> List.sort compare
+    in
+    let blockers =
+      match incompatible with
+      | [] ->
+        (* Blocked by the FIFO rule only: we wait for whoever waits ahead. *)
+        List.filter_map
+          (fun waiter -> if waiter.w_txn <> txn then Some waiter.w_txn else None)
+          entry.waiting
+        |> List.sort_uniq Int.compare
+      | holders -> List.map fst holders
+    in
+    if queue then begin
       table.stats.Lock_stats.waits <- table.stats.Lock_stats.waits + 1;
       Log.debug (fun log ->
           log "T%d waits for %s on %s" txn (Lock_mode.to_string target)
             resource);
-      let holders = blocking_holders table entry txn target resource in
+      let lu = table.meta resource in
+      let holders =
+        List.map
+          (fun (holder, held_mode) ->
+            { Obs.Event.h_txn = holder; h_mode = Lock_mode.to_string held_mode;
+              h_lu = lu })
+          incompatible
+      in
       if not queued then begin
         enqueue entry
           { w_txn = txn; w_mode = target; w_duration = duration;
@@ -255,81 +258,39 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
             w_holders = holders };
         index_txn table txn resource
       end;
-      let blockers =
-        match holders with
-        | [] ->
-          (* Blocked by the FIFO rule only: we wait for whoever waits ahead. *)
-          List.filter_map
-            (fun waiter -> if waiter.w_txn <> txn then Some waiter.w_txn else None)
-            entry.waiting
-        | holders -> List.map (fun { Obs.Event.h_txn; _ } -> h_txn) holders
-      in
-      let blockers = List.sort_uniq Int.compare blockers in
       emit table
         (Obs.Event.Lock_waited
-           { txn; resource; mode = Lock_mode.to_string target; blockers;
-             lu = table.meta resource; holders });
-      Waiting blockers
-    end
+           { txn; resource; mode = Lock_mode.to_string target; blockers; lu;
+             holders })
+    end;
+    Waiting blockers
   end
+
+let request table ~txn ?(duration = Short) ?deadline ~resource mode =
+  admit table ~txn ~duration ?deadline ~queue:true ~resource mode
 
 let try_request table ~txn ?(duration = Short) ~resource mode =
-  table.stats.Lock_stats.requests <- table.stats.Lock_stats.requests + 1;
-  emit table
-    (Obs.Event.Lock_requested
-       { txn; resource; mode = Lock_mode.to_string mode;
-         lu = table.meta resource });
-  let entry = entry_of table resource in
-  let current =
-    match held_triple entry txn with
-    | Some (_txn, held_mode, _duration) -> held_mode
-    | None -> Lock_mode.NL
-  in
-  let target = Lock_mode.sup current mode in
-  if Lock_mode.equal target current then begin
-    table.stats.Lock_stats.immediate_grants <-
-      table.stats.Lock_stats.immediate_grants + 1;
-    emit table
-      (Obs.Event.Lock_granted
-         { txn; resource; mode = Lock_mode.to_string current;
-           immediate = true; lu = table.meta resource; holders = [] });
-    drop_entry_if_empty table resource entry;
-    `Granted
-  end
-  else begin
-    let conversion = not (Lock_mode.equal current Lock_mode.NL) in
-    let fifo_blocked = (not conversion) && entry.waiting <> [] in
-    if (not fifo_blocked) && compatible_with_others table entry txn target
-    then begin
-      install_grant table entry txn target duration resource;
-      table.stats.Lock_stats.immediate_grants <-
-        table.stats.Lock_stats.immediate_grants + 1;
-      emit table
-        (Obs.Event.Lock_granted
-           { txn; resource; mode = Lock_mode.to_string target;
-             immediate = true; lu = table.meta resource; holders = [] });
-      `Granted
-    end
-    else begin
-      let blockers =
-        match incompatible_holders entry txn target with
-        | [] ->
-          List.filter_map
-            (fun waiter -> if waiter.w_txn <> txn then Some waiter.w_txn else None)
-            entry.waiting
-        | holders -> List.map fst holders
-      in
-      drop_entry_if_empty table resource entry;
-      `Would_block (List.sort_uniq Int.compare blockers)
-    end
-  end
+  match admit table ~txn ~duration ~queue:false ~resource mode with
+  | Granted -> `Granted
+  | Waiting blockers -> `Would_block blockers
 
-let release table ~txn ~resource =
+(* Takes [txn] out of one entry: its queued request when [wait], its grant
+   when [grant] accepts the grant's duration. When either goes, the queue is
+   served and the index forgets the resource once [txn] has left it. *)
+let leave table ~txn ~wait ~grant resource =
   match Hashtbl.find_opt table.entries resource with
   | None -> []
   | Some entry ->
-    let held_before = Option.is_some (held_triple entry txn) in
-    if held_before then begin
+    let dropped_wait = wait && already_waiting entry txn in
+    if dropped_wait then
+      entry.waiting <-
+        List.filter (fun waiter -> waiter.w_txn <> txn) entry.waiting;
+    let dropped_grant =
+      match held_triple entry txn with
+      | Some (_txn, _mode, duration) -> grant duration
+      | None -> false
+    in
+    if dropped_grant then begin
       entry.granted <-
         List.filter (fun (holder, _mode, _duration) -> holder <> txn)
           entry.granted;
@@ -338,9 +299,15 @@ let release table ~txn ~resource =
       emit table
         (Obs.Event.Lock_released { txn; resource; lu = table.meta resource })
     end;
-    let served = drain table resource entry in
-    unindex_txn table txn resource entry;
-    served
+    if dropped_wait || dropped_grant then begin
+      let served = drain table resource entry in
+      unindex_txn table txn resource entry;
+      served
+    end
+    else []
+
+let release table ~txn ~resource =
+  leave table ~txn ~wait:false ~grant:(fun _duration -> true) resource
 
 let downgrade table ~txn ~resource mode =
   match Hashtbl.find_opt table.entries resource with
@@ -364,67 +331,22 @@ let resources_of table txn =
   | None -> []
   | Some seen -> String_set.elements seen
 
+let leave_all table ~txn ~wait ~grant =
+  List.concat_map (leave table ~txn ~wait ~grant) (resources_of table txn)
+
 let cancel_wait table ~txn =
-  List.concat_map
-    (fun resource ->
-      match Hashtbl.find_opt table.entries resource with
-      | None -> []
-      | Some entry ->
-        let was_waiting = already_waiting entry txn in
-        if was_waiting then begin
-          entry.waiting <-
-            List.filter (fun waiter -> waiter.w_txn <> txn) entry.waiting;
-          let served = drain table resource entry in
-          unindex_txn table txn resource entry;
-          served
-        end
-        else [])
-    (resources_of table txn)
+  leave_all table ~txn ~wait:true ~grant:(fun _duration -> false)
 
-let release_matching table ~txn keep_long =
-  List.concat_map
-    (fun resource ->
-      match Hashtbl.find_opt table.entries resource with
-      | None -> []
-      | Some entry ->
-        let dropped_wait = already_waiting entry txn in
-        if dropped_wait then
-          entry.waiting <-
-            List.filter (fun waiter -> waiter.w_txn <> txn) entry.waiting;
-        let drop_grant =
-          match held_triple entry txn with
-          | None -> false
-          | Some (_txn, _mode, Long) -> not keep_long
-          | Some (_txn, _mode, Short) -> true
-        in
-        if drop_grant then begin
-          entry.granted <-
-            List.filter (fun (holder, _mode, _duration) -> holder <> txn)
-              entry.granted;
-          table.entry_count <- table.entry_count - 1;
-          table.stats.Lock_stats.releases <-
-            table.stats.Lock_stats.releases + 1;
-          emit table
-            (Obs.Event.Lock_released
-               { txn; resource; lu = table.meta resource })
-        end;
-        let served =
-          if drop_grant || dropped_wait then drain table resource entry else []
-        in
-        unindex_txn table txn resource entry;
-        served)
-    (resources_of table txn)
+let release_all table ~txn =
+  leave_all table ~txn ~wait:true ~grant:(fun _duration -> true)
 
-let release_all table ~txn = release_matching table ~txn false
-let release_short table ~txn = release_matching table ~txn true
+let release_short table ~txn =
+  leave_all table ~txn ~wait:true ~grant:(fun duration -> duration = Short)
 
 let held table ~txn ~resource =
   match Hashtbl.find_opt table.entries resource with
   | None -> Lock_mode.NL
-  | Some entry -> (
-    match held_triple entry txn with
-    | Some (_txn, mode, _duration) -> mode
-    | None -> Lock_mode.NL)
+  | Some entry -> held_mode entry txn
 
 let holders table ~resource =
   match Hashtbl.find_opt table.entries resource with
@@ -621,8 +543,14 @@ let check_invariants table =
         waiter_count;
       List.iter
         (fun waiter ->
-          if Hashtbl.mem holder_count waiter.w_txn && not waiter.w_conversion
-          then flag "%s: T%d both holds and plain-waits" resource waiter.w_txn)
+          if not waiter.w_conversion then begin
+            if Hashtbl.mem holder_count waiter.w_txn then
+              flag "%s: T%d both holds and plain-waits" resource waiter.w_txn
+          end
+          (* a queued conversion must still be an upgrade: a holder that
+             covers its target got there past the queue *)
+          else if Lock_mode.leq waiter.w_mode (held_mode entry waiter.w_txn)
+          then flag "%s: T%d queues for a mode it holds" resource waiter.w_txn)
         entry.waiting;
       (* no two granted modes of distinct transactions may conflict: keep up
          to two distinct holders per mode and test mode pairs — the

@@ -65,8 +65,11 @@ val request :
 val try_request :
   t -> txn:txn_id -> ?duration:duration -> resource:string -> Lock_mode.t ->
   [ `Granted | `Would_block of txn_id list ]
-(** Like {!request} but never enqueues: either grants immediately or reports
-    the blockers. *)
+(** {!request}'s decision without the wait: grants exactly when {!request}
+    would (a covered [~duration:Long] request still makes the lock long, and
+    a transaction already queued on [resource] never jumps the queue);
+    otherwise reports the blockers {!request} would wait for and leaves the
+    queue unchanged. *)
 
 val release : t -> txn:txn_id -> resource:string -> grant list
 (** Releases one lock (leaf-to-root release, de-escalation); returns the

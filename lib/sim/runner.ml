@@ -271,16 +271,11 @@ and crash sim time ~reason state =
   process_grants sim time (cancel_grants @ release_grants)
 
 (* Returns [true] when [requester] itself was sacrificed. Every wait is
-   checked as it starts, so the graph was acyclic before [requester]'s and
-   any cycle now runs through it; aborting a victim only removes edges
-   (woken jobs resume through scheduled events). So the rooted search
-   decides, and the global search only picks the cycle to report. *)
+   checked as it starts and aborting a victim only removes edges (woken jobs
+   resume through scheduled events), so the graph was acyclic before
+   [requester]'s wait, as [Deadlock.cycle_through] requires. *)
 and resolve_deadlocks sim time requester =
-  match
-    if Table.on_cycle sim.table ~txn:requester then
-      Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges sim.table)
-    else None
-  with
+  match Lockmgr.Deadlock.cycle_through sim.table ~txn:requester with
   | None -> false
   | Some cycle ->
     let stats = Table.stats sim.table in

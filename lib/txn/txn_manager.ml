@@ -201,16 +201,12 @@ let unblocked manager grants =
 (* Resolve deadlocks after [txn] started waiting.  Returns [true] when [txn]
    itself was sacrificed.  Victims' grants flow through {!unblocked}, so a
    waiter freed by someone else's demise is [Active] again on return.
-   Every wait is resolved as it starts, so any cycle runs through [txn]:
-   the rooted search decides, the global one picks the cycle to report. *)
+   Every wait is resolved as it starts, so the graph was acyclic before
+   [txn]'s wait, as [Deadlock.cycle_through] requires. *)
 let resolve_deadlock manager txn =
   let table = Protocol.table manager.protocol in
   let rec resolve () =
-    match
-      if Table.on_cycle table ~txn:txn.Transaction.id then
-        Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table)
-      else None
-    with
+    match Lockmgr.Deadlock.cycle_through table ~txn:txn.Transaction.id with
     | None -> false
     | Some cycle ->
       let stats = Table.stats table in

@@ -236,6 +236,45 @@ let test_table_release_short_keeps_long () =
   Alcotest.check mode_testable "long kept" Mode.X
     (Table.held table ~txn:1 ~resource:"b")
 
+(* A covered [try_request ~duration:Long] makes the lock long, as a covered
+   [request] does. *)
+let test_table_try_request_refreshes_long () =
+  let table = Table.create () in
+  check_bool "T1 S short" true
+    (Table.request table ~txn:1 ~resource:"r" Mode.S = Table.Granted);
+  check_bool "covered long try" true
+    (Table.try_request table ~txn:1 ~duration:Table.Long ~resource:"r" Mode.S
+     = `Granted);
+  let (_ : Table.grant list) = Table.release_short table ~txn:1 in
+  Alcotest.check mode_testable "long kept" Mode.S
+    (Table.held table ~txn:1 ~resource:"r")
+
+(* A transaction with a queued conversion may not pass an earlier conversion
+   through [try_request]: it is blocked exactly where [request] waits. *)
+let test_table_try_request_keeps_queue_order () =
+  let table = Table.create () in
+  List.iter
+    (fun (txn, mode) ->
+      check_bool "initial grant" true
+        (Table.request table ~txn ~resource:"r" mode = Table.Granted))
+    [ (1, Mode.IS); (2, Mode.IS); (3, Mode.IX) ];
+  check_bool "T1 queues for X" true
+    (Table.request table ~txn:1 ~resource:"r" Mode.X = Table.Waiting [ 2; 3 ]);
+  check_bool "T2 queues for S" true
+    (Table.request table ~txn:2 ~resource:"r" Mode.S = Table.Waiting [ 3 ]);
+  check_int "T1 still blocked by T2" 0
+    (List.length (Table.release table ~txn:3 ~resource:"r"));
+  check_bool "try_request blocks behind T1" true
+    (Table.try_request table ~txn:2 ~resource:"r" Mode.S = `Would_block [ 1 ]);
+  check_bool "request waits behind T1" true
+    (Table.request table ~txn:2 ~resource:"r" Mode.S = Table.Waiting [ 1 ]);
+  Alcotest.check mode_testable "T2 still holds IS" Mode.IS
+    (Table.held table ~txn:2 ~resource:"r");
+  check_bool "queue unchanged" true
+    (Table.waiting_of table ~txn:1 = [ ("r", Mode.X) ]
+     && Table.waiting_of table ~txn:2 = [ ("r", Mode.S) ]);
+  Alcotest.(check (list string)) "sound" [] (Table.check_invariants table)
+
 let test_table_cancel_wait () =
   let table = Table.create () in
   check_bool "T1 X" true (Table.request table ~txn:1 ~resource:"r" Mode.X = Table.Granted);
@@ -766,6 +805,304 @@ let prop_rooted_search_matches_global =
           rooted_agrees && edges_agree && depths_agree)
         ops)
 
+(* A reference lock table, written from the specification rather than the
+   implementation: per resource a holder map txn -> (mode, duration) and a
+   FIFO queue with conversions placed after earlier conversions. A request
+   for sup(held, mode) is granted atomically iff it is covered, or the
+   transaction is not queued there, is a conversion or finds the queue
+   empty, and is compatible with the other holders. Everything else queues
+   (or, for [try_request], only reports its blockers). Leaving an entry
+   serves the queue head while it is compatible. *)
+module Reference = struct
+  type waiter = {
+    txn : int; mode : Mode.t; duration : Table.duration; conversion : bool }
+
+  type entry = {
+    mutable holders : (int * (Mode.t * Table.duration)) list;
+    mutable queue : waiter list;
+  }
+
+  let create () : (string, entry) Hashtbl.t = Hashtbl.create 8
+
+  let entry model resource =
+    match Hashtbl.find_opt model resource with
+    | Some entry -> entry
+    | None ->
+      let entry = { holders = []; queue = [] } in
+      Hashtbl.replace model resource entry;
+      entry
+
+  let queued entry txn =
+    List.exists (fun waiter -> waiter.txn = txn) entry.queue
+
+  let grant entry txn mode duration =
+    let held =
+      match List.assoc_opt txn entry.holders with
+      | Some (held, Table.Long) -> (Mode.sup held mode, Table.Long)
+      | Some (held, Table.Short) -> (Mode.sup held mode, duration)
+      | None -> (mode, duration)
+    in
+    entry.holders <- (txn, held) :: List.remove_assoc txn entry.holders
+
+  let compatible entry txn mode =
+    List.for_all
+      (fun (holder, (held, _)) -> holder = txn || Mode.compatible mode held)
+      entry.holders
+
+  let rec drain resource entry =
+    match entry.queue with
+    | head :: rest when compatible entry head.txn head.mode ->
+      entry.queue <- rest;
+      grant entry head.txn head.mode head.duration;
+      (head.txn, resource, head.mode) :: drain resource entry
+    | _ -> []
+
+  let request model ~queue ~txn ~duration resource mode =
+    let entry = entry model resource in
+    let current =
+      Option.fold ~none:Mode.NL ~some:fst (List.assoc_opt txn entry.holders)
+    in
+    let target = Mode.sup current mode and conversion = current <> Mode.NL in
+    if Mode.equal target current then begin
+      if duration = Table.Long then grant entry txn current Table.Long;
+      Ok ()
+    end
+    else if
+      (not (queued entry txn))
+      && (conversion || entry.queue = [])
+      && compatible entry txn target
+    then Ok (grant entry txn target duration)
+    else begin
+      let others = List.filter (fun txn' -> txn' <> txn) in
+      let blockers =
+        match
+          others
+            (List.filter_map
+               (fun (holder, (held, _)) ->
+                 if Mode.compatible target held then None else Some holder)
+               entry.holders)
+        with
+        | [] -> others (List.map (fun waiter -> waiter.txn) entry.queue)
+        | holders -> holders
+      in
+      if queue && not (queued entry txn) then begin
+        let waiter = { txn; mode = target; duration; conversion } in
+        let conversions, plain =
+          List.partition (fun waiter -> waiter.conversion) entry.queue
+        in
+        entry.queue <-
+          (if conversion then conversions @ (waiter :: plain)
+           else entry.queue @ [ waiter ])
+      end;
+      Error (List.sort_uniq Int.compare blockers)
+    end
+
+  let leave model ~txn ~wait ~drop resource =
+    let entry = entry model resource in
+    let left_queue = wait && queued entry txn in
+    let left_group =
+      match List.assoc_opt txn entry.holders with
+      | Some (_, duration) -> drop duration
+      | None -> false
+    in
+    if left_queue then
+      entry.queue <- List.filter (fun waiter -> waiter.txn <> txn) entry.queue;
+    if left_group then entry.holders <- List.remove_assoc txn entry.holders;
+    if left_queue || left_group then drain resource entry else []
+
+  let resources_of model txn =
+    Hashtbl.fold
+      (fun resource entry accu ->
+        if List.mem_assoc txn entry.holders || queued entry txn then
+          resource :: accu
+        else accu)
+      model []
+    |> List.sort String.compare
+
+  let leave_all model ~txn ~wait ~drop =
+    List.concat_map (leave model ~txn ~wait ~drop) (resources_of model txn)
+
+  let downgrade model ~txn resource mode =
+    let entry = entry model resource in
+    match List.assoc_opt txn entry.holders with
+    | Some (held, duration) when not (Mode.leq held mode) ->
+      entry.holders <-
+        (txn, (mode, duration)) :: List.remove_assoc txn entry.holders;
+      drain resource entry
+    | _ -> []
+
+  let locks_of model txn =
+    Hashtbl.fold
+      (fun resource entry accu ->
+        match List.assoc_opt txn entry.holders with
+        | Some (mode, duration) -> (resource, mode, duration) :: accu
+        | None -> accu)
+      model []
+    |> List.sort compare
+
+  let waiting_of model txn =
+    Hashtbl.fold
+      (fun resource entry accu ->
+        List.filter_map
+          (fun waiter ->
+            if waiter.txn = txn then Some (resource, waiter.mode) else None)
+          entry.queue
+        @ accu)
+      model []
+    |> List.sort compare
+end
+
+type oracle_op =
+  | Request of int * Table.duration * string * Mode.t
+  | Try_request of int * Table.duration * string * Mode.t
+  | Release of int * string
+  | Downgrade of int * string * Mode.t
+  | Cancel_wait of int
+  | Release_all of int
+  | Release_short of int
+
+let print_oracle_op =
+  let duration = function Table.Long -> " long" | Table.Short -> "" in
+  function
+  | Request (txn, d, resource, mode) ->
+    Printf.sprintf "request T%d %s %s%s" txn resource (Mode.to_string mode)
+      (duration d)
+  | Try_request (txn, d, resource, mode) ->
+    Printf.sprintf "try_request T%d %s %s%s" txn resource (Mode.to_string mode)
+      (duration d)
+  | Release (txn, resource) -> Printf.sprintf "release T%d %s" txn resource
+  | Downgrade (txn, resource, mode) ->
+    Printf.sprintf "downgrade T%d %s %s" txn resource (Mode.to_string mode)
+  | Cancel_wait txn -> Printf.sprintf "cancel_wait T%d" txn
+  | Release_all txn -> Printf.sprintf "release_all T%d" txn
+  | Release_short txn -> Printf.sprintf "release_short T%d" txn
+
+(* Requests and downgrades use the real modes only: the table's callers
+   never ask for NL, and a downgrade always names a weaker mode (the
+   harness below skips the others). *)
+let oracle_op_gen =
+  let open QCheck.Gen in
+  let txn = oneofl table_txns and resource = oneofl [ "a"; "b"; "c"; "d" ] in
+  let mode = oneofl (List.filter (fun mode -> mode <> Mode.NL) Mode.all) in
+  let duration =
+    frequency [ (3, return Table.Short); (1, return Table.Long) ]
+  in
+  let asked make = map4 make txn duration resource mode in
+  frequency
+    [ (8, asked (fun t d r m -> Request (t, d, r, m)));
+      (3, asked (fun t d r m -> Try_request (t, d, r, m)));
+      (3, map2 (fun t r -> Release (t, r)) txn resource);
+      (1, map3 (fun t r m -> Downgrade (t, r, m)) txn resource mode);
+      (1, map (fun t -> Cancel_wait t) txn);
+      (1, map (fun t -> Release_all t) txn);
+      (1, map (fun t -> Release_short t) txn) ]
+
+let arbitrary_oracle_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_oracle_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 500 700) oracle_op_gen)
+
+(* Runs one operation on both tables; [Some] describes the first
+   disagreement. *)
+let oracle_step table model op =
+  let grants served =
+    List.map
+      (fun { Table.g_txn; g_resource; g_mode } -> (g_txn, g_resource, g_mode))
+      served
+  in
+  let outcome = function
+    | Ok () -> "granted"
+    | Error blockers ->
+      "blocked by " ^ String.concat "," (List.map string_of_int blockers)
+  in
+  let served = function
+    | [] -> "nothing"
+    | grants ->
+      String.concat ","
+        (List.map
+           (fun (txn, resource, mode) ->
+             Printf.sprintf "T%d:%s:%s" txn resource (Mode.to_string mode))
+           grants)
+  in
+  let compare_with show actual expected =
+    if actual = expected then None
+    else
+      Some
+        (Printf.sprintf "table %s, reference %s" (show actual) (show expected))
+  in
+  let step =
+    match op with
+    | Request (txn, duration, resource, mode) ->
+      let actual =
+        match Table.request table ~txn ~duration ~resource mode with
+        | Table.Granted -> Ok ()
+        | Table.Waiting blockers -> Error blockers
+      in
+      compare_with outcome actual
+        (Reference.request model ~queue:true ~txn ~duration resource mode)
+    | Try_request (txn, duration, resource, mode) ->
+      let actual =
+        match Table.try_request table ~txn ~duration ~resource mode with
+        | `Granted -> Ok ()
+        | `Would_block blockers -> Error blockers
+      in
+      compare_with outcome actual
+        (Reference.request model ~queue:false ~txn ~duration resource mode)
+    | Release (txn, resource) ->
+      compare_with served
+        (grants (Table.release table ~txn ~resource))
+        (Reference.leave model ~txn ~wait:false ~drop:(fun _ -> true) resource)
+    | Downgrade (txn, resource, mode) ->
+      let held = Table.held table ~txn ~resource in
+      if Mode.leq mode held && not (Mode.equal mode held) then
+        compare_with served
+          (grants (Table.downgrade table ~txn ~resource mode))
+          (Reference.downgrade model ~txn resource mode)
+      else None
+    | Cancel_wait txn ->
+      compare_with served
+        (grants (Table.cancel_wait table ~txn))
+        (Reference.leave_all model ~txn ~wait:true ~drop:(fun _ -> false))
+    | Release_all txn ->
+      compare_with served
+        (grants (Table.release_all table ~txn))
+        (Reference.leave_all model ~txn ~wait:true ~drop:(fun _ -> true))
+    | Release_short txn ->
+      compare_with served
+        (grants (Table.release_short table ~txn))
+        (Reference.leave_all model ~txn ~wait:true
+           ~drop:(fun duration -> duration = Table.Short))
+  in
+  let views_differ =
+    List.find_opt
+      (fun txn ->
+        Table.locks_of table ~txn <> Reference.locks_of model txn
+        || Table.waiting_of table ~txn <> Reference.waiting_of model txn)
+      table_txns
+  in
+  match step, views_differ, Table.check_invariants table with
+  | Some difference, _, _ -> Some difference
+  | None, Some txn, _ ->
+    Some (Printf.sprintf "locks or waits of T%d differ" txn)
+  | None, None, (_ :: _ as violations) -> Some (String.concat "; " violations)
+  | None, None, [] -> None
+
+let prop_table_matches_reference =
+  QCheck.Test.make ~name:"lock table agrees with the reference table"
+    ~count:100 arbitrary_oracle_ops (fun ops ->
+      let table = Table.create () and model = Reference.create () in
+      let rec run index = function
+        | [] -> true
+        | op :: rest -> (
+          match oracle_step table model op with
+          | None -> run (index + 1) rest
+          | Some difference ->
+            QCheck.Test.fail_reportf "op %d (%s): %s" index (print_oracle_op op)
+              difference)
+      in
+      run 0 ops)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_compat_symmetric; prop_sup_commutative; prop_sup_associative;
@@ -798,6 +1135,10 @@ let () =
          Alcotest.test_case "release_all" `Quick test_table_release_all;
          Alcotest.test_case "release_short keeps long" `Quick
            test_table_release_short_keeps_long;
+         Alcotest.test_case "try_request refreshes long" `Quick
+           test_table_try_request_refreshes_long;
+         Alcotest.test_case "try_request keeps queue order" `Quick
+           test_table_try_request_keeps_queue_order;
          Alcotest.test_case "cancel_wait" `Quick test_table_cancel_wait;
          Alcotest.test_case "downgrade" `Quick test_table_downgrade;
          Alcotest.test_case "stats" `Quick test_table_stats;
@@ -809,7 +1150,8 @@ let () =
          Alcotest.test_case "check_invariants clean" `Quick
            test_table_check_invariants_clean;
          Alcotest.test_case "waits_for edges" `Quick
-           test_table_waits_for_edges ]);
+           test_table_waits_for_edges;
+         QCheck_alcotest.to_alcotest prop_table_matches_reference ]);
       ("deadlock",
        [ Alcotest.test_case "simple cycle" `Quick test_deadlock_simple_cycle;
          Alcotest.test_case "no cycle" `Quick test_deadlock_no_cycle;
